@@ -71,6 +71,20 @@ def braiding_exists(a: CocycleParams):
     return True, None
 
 
+def braiding_count(a: CocycleParams) -> int:
+    """len(enumerate_braidings(a)) in closed form, without building one braiding.
+
+    The product of the grid sizes: m_i per diagonal slot, gcd(m_i, m_j) per
+    off-diagonal slot; 0 when no braiding exists.
+    """
+    if not braiding_exists(a)[0]:
+        return 0
+    orders = a.group.orders
+    return math.prod(orders) * math.prod(
+        math.gcd(mi, mj) for i, mi in enumerate(orders)
+        for j, mj in enumerate(orders) if i != j)
+
+
 def enumerate_braidings(a: CocycleParams):
     """Every braiding for the parameter choice, in deterministic order.
 

@@ -132,7 +132,7 @@ def _build_parser():
     p.add_argument("--orders", help="optional cross-check of the table's orders")
     p.add_argument("--table", required=True)
     p.add_argument("--check-unique", action="store_true",
-                   help="scan the whole parameter set to confirm uniqueness")
+                   help="report uniqueness, which holds by construction")
     p.add_argument("--format", choices=("json", "plain"), default="json")
 
     p = sub.add_parser("braidings", help="all braidings for a parameter choice")
@@ -251,10 +251,11 @@ def _run(args) -> int:
     if args.command == "braidings":
         group = _parse_orders(args.orders)
         params = parse_params_literal(group, args.params)
-        found = br.enumerate_braidings(params)
         if args.count:
-            _emit(args, len(found), str(len(found)))
+            count = br.braiding_count(params)
+            _emit(args, count, str(count))
         else:
+            found = br.enumerate_braidings(params)
             _emit(args, [_matrix_doc(qb) for qb in found],
                   "\n".join("; ".join(" ".join(str(v) for v in row)
                                       for row in qb.r) for qb in found)

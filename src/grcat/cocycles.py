@@ -286,10 +286,18 @@ def table_to_json(table: CocycleTable) -> str:
 
 
 def table_from_doc(doc: dict) -> CocycleTable:
+    """Read a table document; ValueError when its shape is not the table schema."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
     group = Group(tuple(doc["orders"]))
     n = group.order
     values = [Root.one()] * (n ** 3)
-    for entry in doc.get("entries", []):
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"a table entry must be an object, got {entry!r}")
         x = group.element(tuple(entry["x"]))
         y = group.element(tuple(entry["y"]))
         z = group.element(tuple(entry["z"]))

@@ -5,7 +5,9 @@ small complex, so the cocycle and coboundary conditions collapse to power
 equations on roots of unity (solved exactly through the Q/Z linear algebra
 in intlinalg).  Bar side: a table on G^3 is a coboundary iff an explicit
 linear system over Q/Z in the unknowns b(x,y) is solvable.  Classification
-composes the two: iterate the canonical parameter set and test the ratio.
+composes the two: a normalized cocycle table on G^3 is pulled back through
+the comparison map psi_3 to a tensor cocycle, whose class is then read off
+in closed form.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cocycles import (CocycleParams, CocycleTable, enumerate_params,
-                       pair_indices, triple_indices)
+from .cocycles import (CocycleParams, CocycleTable, pair_indices,
+                       triple_indices, verify_normalized, verify_pentagon)
+from .complexes import tensor_to_bar_cells
 from .groups import Group
 from .intlinalg import smith_normal_form, solve_mod1, solve_with_snf
 from .roots import Root, canonical_root
@@ -320,33 +323,41 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
     return witness
 
 
+def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
+    """The tensor 3-cochain t o psi_3, read off the cells of the table.
+
+    Each degree-3 generator takes the sum of the exponents of the cells in
+    its psi_3 image, weighted by their multiplicities.  For a normalized
+    cocycle table the result is a tensor cocycle in the same class.
+    """
+    group = t.group
+    n = group.rank
+    values = [Root(sum((m * t.values[cell].exponent for cell, m in cells),
+                       Fraction(0)))
+              for cells in tensor_to_bar_cells(group.orders)]
+    np_ = len(pair_indices(n))
+    return TensorCochain3(group, values[:n], values[n:n + np_],
+                          values[n + np_:n + 2 * np_], values[n + 2 * np_:])
+
+
 def classify(t: CocycleTable, verify_unique: bool = False) -> CocycleParams:
     """The unique parameter choice whose canonical cocycle is cohomologous to t.
 
-    Iterates the parameter set and tests the ratio for being a coboundary.
-    Raises LookupError when no parameter matches; with verify_unique the
-    scan continues and a second match raises as well.
+    t must be a normalized cocycle: normalization and then the pentagon over
+    G^4 are checked, and a failure raises LookupError.  t is pulled back
+    through psi_3 to a tensor cocycle, and reduce_to_normal_form reads its
+    class off in closed form.  Uniqueness holds by construction: the normal
+    form is a function of the class, and distinct canonical classes are
+    never cohomologous (acceptance criterion 4), so verify_unique changes
+    nothing and is kept for callers that ask for the check.
     """
-    from .cocycles import build_table
-
-    if t.group.order > 12:
-        raise ValueError(f"group order {t.group.order} above the bar-side bound")
-    found = None
-    for a in enumerate_params(t.group):
-        ratio = t / build_table(a)
-        try:
-            witness = is_bar_coboundary(ratio)
-        except ValueError:
-            # substitution failed: the input violates the cocycle identity
-            witness = None
-        if witness is not None:
-            if found is None:
-                found = a
-                if not verify_unique:
-                    return found
-            else:
-                raise LookupError(f"class is not unique: {found} and {a}")
-    if found is None:
-        raise LookupError("no parameter choice matches; input is not a cocycle "
-                          "or has values outside the expected roots of unity")
-    return found
+    witness = verify_normalized(t)
+    if witness is not None:
+        raise LookupError("input is not normalized: the value at "
+                          f"{tuple(e.exps for e in witness)} is not 1")
+    witness = verify_pentagon(t)
+    if witness is not None:
+        raise LookupError("input is not a cocycle: the pentagon fails at "
+                          f"{tuple(e.exps for e in witness)}")
+    params, _ = reduce_to_normal_form(pullback_to_tensor(t))
+    return params

@@ -4,16 +4,21 @@ Two resolutions of the trivial module live here: the normalized bar complex,
 whose degree-m generators are m-tuples of non-identity group elements, and
 the Koszul-like tensor complex built from one periodic strand per cyclic
 factor.  The degree 1..3 comparison maps from the bar side to the tensor
-side (and the machine check that they commute with the differentials) are
-what turns small-complex cochains into explicit functions on G^3.
+side turn small-complex cochains into explicit functions on G^3; the maps
+back, built with the bar complex's contracting homotopy, turn functions on
+G^3 into small-complex cochains.  Both come with a machine check that they
+commute with the differentials.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from .cocycles import pair_indices, triple_indices
 from .groups import Group, GroupElement
 from .roots import Root
 
@@ -159,6 +164,19 @@ def _phi_at(n, *positions):
     for p in positions:
         idx[p] += 1
     return TensorGenerator(tuple(idx))
+
+
+def degree3_indices(n):
+    """The degree-3 multi-indices in the order diag, iij, ijj, rst.
+
+    diag has 3 in one slot; iij and ijj follow the lexicographic pairs
+    i < j with (2 in i, 1 in j) resp. (1 in i, 2 in j); rst follows the
+    lexicographic triples.
+    """
+    return ([_phi_at(n, l, l, l).index for l in range(n)]
+            + [_phi_at(n, i, i, j).index for i, j in pair_indices(n)]
+            + [_phi_at(n, i, j, j).index for i, j in pair_indices(n)]
+            + [_phi_at(n, r, s, t).index for r, s, t in triple_indices(n)])
 
 
 class ChainVector:
@@ -444,6 +462,114 @@ def verify_chain_map(group: Group):
     return results
 
 
+def contract(v: ChainVector) -> ChainVector:
+    """The bar complex's contracting homotopy s(g[h_1|...|h_m]) = [g|h_1|...|h_m].
+
+    s is Z-linear, not G-linear: each group element of a coefficient moves
+    into the symbol, and the identity gives the collapsed zero.  On the
+    normalized complex d s + s d is the identity in positive degrees.
+    """
+    group = v.group
+    one = GroupRingElement.unit(group.identity())
+    out = ChainVector(group)
+    for gen, coeff in v.terms.items():
+        for g, c in coeff.terms.items():
+            out.add_term(bar_generator((g,) + gen.elems), one * c)
+    return out
+
+
+def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
+    """Image of a tensor generator in the normalized bar complex, degree 0..3.
+
+    psi_0(Phi_0) = [] and psi_n(Phi) = s(psi_(n-1)(d_T Phi)), with s the
+    contracting homotopy; d_B s + s d_B = id makes this a chain map.
+    """
+    one = GroupRingElement.unit(group.identity())
+    if gen.degree == 0:
+        return single(BarGenerator(()), one)
+    if gen.degree > 3:
+        raise ValueError(f"comparison map defined in degrees 0..3, got {gen.degree}")
+    return contract(apply_tensor_to_bar(group, tensor_differential(single(gen, one))))
+
+
+def apply_tensor_to_bar(group, tensor_vector: ChainVector) -> ChainVector:
+    """Extend tensor_to_bar linearly over group ring coefficients."""
+    out = ChainVector(group)
+    for gen, c in tensor_vector.terms.items():
+        for bgen, bc in tensor_to_bar(group, gen).terms.items():
+            out.add_term(bgen, c * bc)
+    return out
+
+
+def verify_tensor_to_bar(group: Group):
+    """Check d_B psi = psi d_T on every tensor generator of degree 1..3.
+
+    Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
+    first tensor generator (lexicographic in its index) where the square
+    fails.
+    """
+    n = group.rank
+    one = GroupRingElement.unit(group.identity())
+    results = {}
+    for deg in (1, 2, 3):
+        fail = None
+        for index in itertools.product(range(deg + 1), repeat=n):
+            if sum(index) != deg:
+                continue
+            gen = TensorGenerator(index)
+            lhs = bar_differential(tensor_to_bar(group, gen))
+            rhs = apply_tensor_to_bar(group, tensor_differential(single(gen, one)))
+            if lhs != rhs:
+                fail = gen
+                break
+        results[deg] = fail
+    return results
+
+
+@lru_cache(maxsize=32)
+def tensor_to_bar_cells(orders: tuple):
+    """psi_3 of the degree-3 tensor generators, as integer lists per group shape.
+
+    One tuple per generator in degree3_indices order, holding (cell,
+    multiplicity) pairs: the cell is the index of [x|y|z] in the G^3 layout
+    of CocycleTable, the multiplicity the augmentation of its coefficient.
+    """
+    group = Group(orders)
+    N = group.order
+    out = []
+    for index in degree3_indices(group.rank):
+        cells = []
+        for bgen, coeff in tensor_to_bar(group, TensorGenerator(index)).terms.items():
+            x, y, z = (group.element_index(e) for e in bgen.elems)
+            cells.append(((x * N + y) * N + z, coeff.augmentation()))
+        out.append(tuple(sorted(cells)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _chain_map_slots(orders: tuple):
+    """chain_map on every cell of G^3, as integer lists per group shape.
+
+    One tuple per cell in the layout of CocycleTable, holding (slot,
+    multiplicity) pairs: the slot indexes degree3_indices, the multiplicity
+    is the augmentation of the coefficient.  Cells with an identity
+    argument map to the empty tuple.
+    """
+    group = Group(orders)
+    slot = {index: k for k, index in enumerate(degree3_indices(group.rank))}
+    out = []
+    for x, y, z in itertools.product(group.elements(), repeat=3):
+        gen = bar_generator((x, y, z))
+        pairs = []
+        if gen is not None:
+            for tgen, coeff in chain_map(group, gen).terms.items():
+                mult = coeff.augmentation()
+                if mult:
+                    pairs.append((slot[tgen.index], mult))
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
 def pullback_3cochain(f, group: Group, max_cells: int = 10 ** 6):
     """Compose a tensor 3-cochain with the degree-3 comparison map.
 
@@ -456,18 +582,15 @@ def pullback_3cochain(f, group: Group, max_cells: int = 10 ** 6):
     size = group.order ** 3
     if size > max_cells:
         raise ValueError(f"table would need {size} cells, above the {max_cells} bound")
+    exps = [f.value(index).exponent for index in degree3_indices(group.rank)]
+    L = math.lcm(*(e.denominator for e in exps))
+    nums = [int(e * L) for e in exps]
+    roots = {}
     values = []
-    for x in group.elements():
-        for y in group.elements():
-            for z in group.elements():
-                gen = bar_generator((x, y, z))
-                if gen is None:
-                    values.append(Root.one())
-                    continue
-                total = Fraction(0)
-                for tgen, coeff in chain_map(group, gen).terms.items():
-                    mult = coeff.augmentation()
-                    if mult:
-                        total += mult * f.value(tgen.index).exponent
-                values.append(Root(total))
+    for pairs in _chain_map_slots(group.orders):
+        k = sum(m * nums[s] for s, m in pairs) % L
+        root = roots.get(k)
+        if root is None:
+            root = roots[k] = Root(Fraction(k, L))
+        values.append(root)
     return CocycleTable(group, values)

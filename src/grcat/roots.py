@@ -37,8 +37,18 @@ class Root:
 
     @staticmethod
     def parse(text: str) -> "Root":
-        num, _, den = text.partition("/")
-        return Root(Fraction(int(num), int(den or "1")))
+        """Read "p/q" or "p"; ValueError on any other text or on q = 0."""
+        if not isinstance(text, str):
+            raise ValueError(f'root must be a string "p/q", got {text!r}')
+        num, slash, den = text.partition("/")
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            raise ValueError(f'root must be "p/q" with integers p and q, '
+                             f'got {text!r}') from None
+        if q == 0:
+            raise ValueError(f"root {text!r} has a zero denominator")
+        return Root(Fraction(p, q))
 
     @property
     def order(self) -> int:

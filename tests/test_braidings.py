@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from grcat.braidings import (QuasiBicharacter, braiding_exists,
+from grcat.braidings import (QuasiBicharacter, braiding_count, braiding_exists,
                              braiding_function_table, brute_force_braidings,
                              brute_force_full_function_space,
                              enumerate_braidings, eval_R, verify_hexagons)
@@ -101,6 +101,12 @@ def test_count_law_against_closed_form():
                 assert len(set(got)) == len(got)
             else:
                 assert got == []
+
+
+def test_braiding_count_matches_enumeration():
+    for orders in ((2,), (4,), (2, 2), (4, 2)):
+        for a in enumerate_params(Group(orders)):
+            assert braiding_count(a) == len(enumerate_braidings(a)), (orders, a)
 
 
 def test_soundness_every_enumerated_braiding_passes_hexagons():

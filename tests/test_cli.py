@@ -110,6 +110,39 @@ def test_classify_non_cocycle_table(capsys, tmp_path):
     assert "classify:" in err
 
 
+def test_classify_zero_denominator_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "orders": [2],
+        "entries": [{"x": [1], "y": [1], "z": [1], "w": "1/0"}]}))
+    code, out, err = run_cli(capsys, "classify", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("grcat:") and err.count("\n") == 1
+
+
+def test_classify_top_level_array_exits_2(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"orders": [2], "entries": []}]))
+    code, out, err = run_cli(capsys, "classify", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("grcat:") and err.count("\n") == 1
+
+
+def test_classify_groups_above_order_twelve(capsys, tmp_path):
+    for orders, literal, params in (
+            ("4,4", "1,1;1", ([1, 1], {"1,2": 1}, {})),
+            ("2,2,2,2", "1,0,0,1;0,1,0,0,0,0;1,0,0,0",
+             ([1, 0, 0, 1], {"1,3": 1}, {"1,2,3": 1}))):
+        code, out, _ = run_cli(capsys, "cocycle", "table", "--orders", orders,
+                               "--params", literal)
+        assert code == 0
+        path = tmp_path / "t.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "classify", "--table", str(path))
+        doc = json.loads(out)
+        assert code == 0 and (doc["a"], doc["a2"], doc["a3"]) == params, orders
+
+
 def test_classify_orders_cross_check(capsys, tmp_path):
     path = tmp_path / "t.json"
     path.write_text(table_to_json(build_table(
@@ -149,6 +182,15 @@ def test_braidings_and_oracle(capsys):
     code, out, _ = run_cli(capsys, "braidings", "--orders", "3",
                            "--params", "1", "--format", "plain")
     assert code == 0 and out == "(none)\n"
+
+
+def test_braidings_count_is_closed_form(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--count must not enumerate")
+    monkeypatch.setattr("grcat.braidings.enumerate_braidings", refuse)
+    code, out, _ = run_cli(capsys, "braidings", "--count", "--orders",
+                           "2,2,2,2", "--params", "0,0,0,0")
+    assert code == 0 and out == "65536\n"
 
 
 def test_oracle_full_space(capsys):

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from grcat.cocycles import (CocycleParams, build_table, enumerate_params,
-                            table_from_doc, verify_normalized, verify_pentagon)
+from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
+                            enumerate_params, table_from_doc,
+                            verify_normalized, verify_pentagon)
 from grcat.cohomology import (CoboundaryWitness2, TensorCochain3,
                               all_ones_cochain, bar_coboundary_table,
                               classify, h3_order, is_bar_coboundary,
                               is_tensor_coboundary, is_tensor_cocycle,
-                              reduce_to_normal_form, representative_cochain,
-                              tensor_coboundary, trivial_witness)
+                              pullback_to_tensor, reduce_to_normal_form,
+                              representative_cochain, tensor_coboundary,
+                              trivial_witness)
 from grcat.groups import Group
 from grcat.roots import Root
 
@@ -228,8 +230,8 @@ def test_bar_coboundary_guard():
     table = build_table(CocycleParams(group, (0,) * 4, (0,) * 6, (0,) * 4))
     with pytest.raises(ValueError):
         is_bar_coboundary(table)
-    with pytest.raises(ValueError):
-        classify(table)
+    # classify has no order cap: it reads the class off the small complex
+    assert classify(table) == CocycleParams(group, (0,) * 4, (0,) * 6, (0,) * 4)
     # the bound is adjustable in both directions
     small = build_table(CocycleParams(Group((2, 2)), (0, 0), (0,), ()))
     with pytest.raises(ValueError):
@@ -271,3 +273,78 @@ def test_classify_rejects_non_cocycle():
            "entries": [{"x": [1], "y": [1], "z": [1], "w": "1/3"}]}
     with pytest.raises(LookupError):
         classify(table_from_doc(doc))
+
+
+def scan_classify(t):
+    """Reference decider: the first parameter choice whose canonical table
+    differs from t by a bar coboundary, one Smith-normal-form solve each.
+
+    t must be a normalized cocycle, checked first; a ValueError from
+    is_bar_coboundary is an internal failure and propagates.
+    """
+    if verify_normalized(t) is not None or verify_pentagon(t) is not None:
+        raise LookupError("input is not a normalized cocycle")
+    for a in enumerate_params(t.group):
+        if is_bar_coboundary(t / build_table(a)) is not None:
+            return a
+    raise LookupError("no parameter choice matches")
+
+
+def random_bar_coboundary(rng, group, den=8):
+    elems = group.elements()
+    b = {}
+    for x in elems:
+        for y in elems:
+            trivial = x.is_identity() or y.is_identity()
+            b[(x, y)] = one() if trivial else Root.of(rng.randrange(den), den)
+    return bar_coboundary_table(group, b)
+
+
+def test_classify_matches_scan_oracle():
+    rng = random.Random(67)
+    for orders in ((2,), (4,), (2, 2), (4, 2)):
+        group = Group(orders)
+        for a in enumerate_params(group):
+            table = build_table(a)
+            shifted = table * random_bar_coboundary(rng, group)
+            for t in (table, shifted):
+                assert classify(t) == scan_classify(t) == a, (orders, a)
+
+
+def test_classify_every_class_z4_squared():
+    group = Group((4, 4))
+    for a in enumerate_params(group):
+        assert classify(build_table(a)) == a, a
+
+
+def test_classify_sampled_classes_z2_fourth():
+    rng = random.Random(71)
+    group = Group((2, 2, 2, 2))
+    for a in rng.sample(enumerate_params(group), 12):
+        assert classify(build_table(a)) == a, a
+
+
+def test_pullback_to_tensor_of_canonical_table_is_cohomologous():
+    for orders in ((4, 2), (3, 3), (2, 2, 2)):
+        group = Group(orders)
+        for a in enumerate_params(group)[::3]:
+            f = pullback_to_tensor(build_table(a))
+            assert is_tensor_cocycle(f) is None
+            assert is_tensor_coboundary(f / representative_cochain(a)) is not None
+
+
+def test_classify_rejects_unnormalized_cocycle():
+    # the coboundary of a 2-cochain with b(1, g) != 1 passes the pentagon
+    # (d d = 0) but is not 1 on the identity row
+    group = Group((2,))
+    elems = group.elements()
+    e, g = elems
+    b = {(x, y): one() for x in elems for y in elems}
+    b[(e, g)] = Root.of(1, 2)
+    values = [b[(y, z)] / b[(x * y, z)] * b[(x, y * z)] / b[(x, y)]
+              for x in elems for y in elems for z in elems]
+    table = CocycleTable(group, values)
+    assert verify_pentagon(table) is None
+    assert verify_normalized(table) is not None
+    with pytest.raises(LookupError, match="not normalized"):
+        classify(table)

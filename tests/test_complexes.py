@@ -6,11 +6,15 @@ import pytest
 
 from grcat.cocycles import CocycleParams, build_table, enumerate_params
 from grcat.cohomology import representative_cochain
+from grcat import complexes
 from grcat.complexes import (BarGenerator, ChainVector, GroupRingElement,
                              TensorGenerator, apply_chain_map,
                              bar_differential, bar_generator, chain_map,
-                             norm_element, phi, pullback_3cochain, single,
-                             t_element, tensor_differential, verify_chain_map)
+                             contract, degree3_indices, norm_element, phi,
+                             pullback_3cochain, single, t_element,
+                             tensor_differential, tensor_to_bar,
+                             tensor_to_bar_cells, verify_chain_map,
+                             verify_tensor_to_bar)
 from grcat.groups import Group
 
 
@@ -203,3 +207,62 @@ def test_pullback_cell_guard():
     a = enumerate_params(group)[0]
     with pytest.raises(ValueError):
         pullback_3cochain(representative_cochain(a), group, max_cells=10)
+
+
+def test_contracting_homotopy_frozen_values():
+    group = Group((4,))
+    h = group.generator(0)
+    v = ChainVector(group)
+    v.add_term(bar_generator([h]), GroupRingElement(group, {h ** 2: 3,
+                                                            group.identity(): 5}))
+    # the identity part of a coefficient collapses to the normalized zero
+    assert contract(v).terms == {bar_generator([h ** 2, h]): unit(group) * 3}
+
+
+def test_tensor_to_bar_frozen_values():
+    z2 = Group((2,))
+    g = z2.generator(0)
+    one2 = unit(z2)
+    assert tensor_to_bar(z2, phi((0,))).terms == {BarGenerator(()): one2}
+    assert tensor_to_bar(z2, phi((1,))).terms == {bar_generator([g]): one2}
+    assert tensor_to_bar(z2, phi((2,))).terms == {bar_generator([g, g]): one2}
+    assert tensor_to_bar(z2, phi((3,))).terms == {bar_generator([g, g, g]): one2}
+
+    group = Group((2, 2))
+    g1, g2 = group.generator(0), group.generator(1)
+    one = unit(group)
+    assert tensor_to_bar(group, phi((1, 1))).terms == {
+        bar_generator([g1, g2]): one, bar_generator([g2, g1]): one * -1}
+    with pytest.raises(ValueError):
+        tensor_to_bar(z2, phi((4,)))
+
+
+def test_tensor_to_bar_commutes_with_differentials():
+    # the groups of acceptance criterion 3, and the order-16 spots
+    for orders in ((2,), (4,), (2, 2), (4, 3), (2, 2, 2),
+                   (16,), (4, 4), (4, 2, 2), (2, 2, 2, 2)):
+        failures = verify_tensor_to_bar(Group(orders))
+        assert failures == {1: None, 2: None, 3: None}, orders
+
+
+def test_tensor_to_bar_check_reports_first_failure(monkeypatch):
+    # with s replaced by zero, psi vanishes above degree 0 and only the
+    # degree-1 square fails, first at the lexicographically least index
+    monkeypatch.setattr(complexes, "contract", lambda v: ChainVector(v.group))
+    failures = verify_tensor_to_bar(Group((2, 2)))
+    assert failures == {1: phi((0, 1)), 2: None, 3: None}
+
+
+def test_tensor_to_bar_cells_flatten_the_images():
+    group = Group((4, 2))
+    N = group.order
+    cells = tensor_to_bar_cells(group.orders)
+    indices = degree3_indices(group.rank)
+    assert len(cells) == len(indices)
+    for index, flat in zip(indices, cells):
+        image = tensor_to_bar(group, TensorGenerator(index))
+        expected = {}
+        for gen, coeff in image.terms.items():
+            x, y, z = (group.element_index(e) for e in gen.elems)
+            expected[(x * N + y) * N + z] = coeff.augmentation()
+        assert dict(flat) == expected, index

@@ -15,6 +15,12 @@ def test_one_and_parse():
     assert Root.parse("5") == Root(Fraction(5)) == Root.one()
 
 
+def test_parse_rejects_malformed_text():
+    for bad in ("1/0", "0/0", "x", "1/", "1/2/3", "1.5", "", 0.5, None):
+        with pytest.raises(ValueError):
+            Root.parse(bad)
+
+
 def test_exponent_reduced_mod_one():
     assert Root(Fraction(5, 4)) == Root(Fraction(1, 4))
     assert Root(Fraction(-1, 4)) == Root(Fraction(3, 4))
