@@ -7,6 +7,8 @@ diagonal entry, vanishing of every pair and triple parameter); when
 solvable, the full finite solution set is enumerated in closed form.  Two
 brute-force searches act as oracles: one over the provably sufficient grid
 of candidate matrices, one over every function G x G -> mu_N whatsoever.
+Both oracles and verify_hexagons decide through one batched check on
+integer exponent tables of R over a common modulus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycles import CocycleParams, build_table, pair_indices, triple_indices
+from .cocycles import (CocycleParams, _int_dtype, build_table, pair_indices,
+                       triple_indices)
 from .groups import Group, GroupElement
 from .roots import Root
 
@@ -118,62 +121,83 @@ def enumerate_braidings(a: CocycleParams):
 
 
 @lru_cache(maxsize=64)
-def _omega_int_table(a: CocycleParams):
-    """Cocycle table over G^3 as integer exponent numerators with their modulus."""
-    table = build_table(a)
-    L = 1
-    for v in table.values:
-        L = L * v.exponent.denominator // math.gcd(L, v.exponent.denominator)
-    return [int(v.exponent * L) for v in table.values], L
+def _hexagon_offsets(a: CocycleParams):
+    """(Lw, (W1, W2)): the cocycle terms of both hexagons per triple, over Lw."""
+    Lw, w = build_table(a).exponents()
+    W1 = w.transpose(1, 2, 0) + w - w.transpose(0, 2, 1)  # w(z,x,y) w(x,y,z) / w(x,z,y)
+    W2 = w.transpose(1, 0, 2) - w.transpose(2, 0, 1) - w  # w(y,x,z) / (w(y,z,x) w(x,y,z))
+    for W in (W1, W2):
+        W.setflags(write=False)
+    return Lw, (W1, W2)
 
 
 @lru_cache(maxsize=64)
-def _hexagon_index_arrays(orders: tuple):
-    """Per-triple flat pair indices feeding both hexagon residuals."""
+def _hexagon_cells(orders: tuple, lo: int):
+    """Flat indices x*N + y of the three R terms of each hexagon, per triple.
+
+    Triples run over [lo, N)^3 in C order.  The first hexagon reads
+    R(xy, z), R(x, z), R(y, z); the second R(x, yz), R(x, y), R(x, z).
+    """
     group = Group(orders)
     N = group.order
-    elems = list(group.elements())
-    mul = [[group.element_index(elems[p] * elems[q]) for q in range(N)]
-           for p in range(N)]
-    A = ([], [], [], [], [], [])
-    for ix in range(N):
-        for iy in range(N):
-            ixy = mul[ix][iy]
-            for iz in range(N):
-                iyz = mul[iy][iz]
-                A[0].append(ixy * N + iz)
-                A[1].append(ix * N + iz)
-                A[2].append(iy * N + iz)
-                A[3].append(ix * N + iyz)
-                A[4].append(ix * N + iy)
-                A[5].append(ix * N + iz)
-    return A
+    mul = group.mul_table()
+    x, y, z = (v.reshape(-1) for v in
+               np.meshgrid(*[np.arange(lo, N)] * 3, indexing="ij"))
+    return ((mul[x, y] * N + z, x * N + z, y * N + z),
+            (x * N + mul[y, z], x * N + y, x * N + z))
 
 
-@lru_cache(maxsize=64)
-def _omega_offsets(a: CocycleParams):
-    """Constant parts of the two residuals: the cocycle terms, per triple."""
-    w, Lw = _omega_int_table(a)
-    N = a.group.order
-    W1 = []
-    W2 = []
-    for ix in range(N):
-        for iy in range(N):
-            for iz in range(N):
-                W1.append(w[(iz * N + ix) * N + iy] + w[(ix * N + iy) * N + iz]
-                          - w[(ix * N + iz) * N + iy])
-                W2.append(w[(iy * N + ix) * N + iz] - w[(iy * N + iz) * N + ix]
-                          - w[(ix * N + iy) * N + iz])
-    return W1, W2, Lw
+def _hexagon_residual(a: CocycleParams, which: int, R, L: int, lo: int):
+    """Residual mod L of hexagon `which` for each candidate in R on [lo, N)^3.
+
+    R has shape (C, N, N) and holds the exponents R(x, y) over L, a multiple
+    of the cocycle's modulus.  Result shape (C, K^3) with K = N - lo, in C
+    order over the triples, zero where the identity holds.
+    """
+    Lw, offsets = _hexagon_offsets(a)
+    rows = R.reshape(len(R), -1)
+    first, *rest = _hexagon_cells(a.group.orders, lo)[which - 1]
+    res = np.take(rows, first, axis=1)
+    for cells in rest:
+        res -= np.take(rows, cells, axis=1)
+    res -= offsets[which - 1][lo:, lo:, lo:].reshape(-1).astype(R.dtype) * (L // Lw)
+    res %= L
+    return res
 
 
-def _pair_exponents(R: QuasiBicharacter):
-    group = R.group
-    out = []
-    for x in group.elements():
-        for y in group.elements():
-            out.append(eval_R(R, x, y).exponent)
-    return out
+def _hexagons_hold(a: CocycleParams, R, L: int, lo: int):
+    """Boolean mask over the candidates in R: True where both hexagons hold.
+
+    lo = 1 skips the triples holding the identity, which is sound when every
+    candidate is 1 on the identity row and column: there the R terms cancel
+    and the normalized cocycle's offset is 0.  lo = 0 checks all of G^3.
+    The second hexagon runs only on candidates that pass the first.
+    """
+    ok = (_hexagon_residual(a, 1, R, L, lo) == 0).all(axis=1)
+    if ok.any():
+        ok[ok] = (_hexagon_residual(a, 2, R[ok], L, lo) == 0).all(axis=1)
+    return ok
+
+
+def _chunk(K: int) -> int:
+    """Candidates per batch when K^3 triples are checked: at most 8192 x 343
+    residual cells at a time."""
+    return max(1, 8192 * 343 // K ** 3)
+
+
+def _product_form(group: Group, r, L: int):
+    """Exponent tables (C, N, N) over L of product-form braidings.
+
+    r has shape (C, n, n): the generator-pair exponents r[s][t] over L.
+    R(x, y) = sum of r[s][t] * i_s * j_t, with int64 when that sum fits.
+    """
+    n = group.rank
+    E = np.array([x.exps for x in group.elements()], dtype=np.int64)
+    B = np.einsum("xs,yt->stxy", E, E).reshape(n * n, -1)
+    dtype = _int_dtype(5 * L * (n * max(group.orders)) ** 2)
+    R = np.asarray(r, dtype=dtype).reshape(len(r), n * n) @ B.astype(dtype)
+    R %= L
+    return R.reshape(len(r), group.order, group.order)
 
 
 def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
@@ -185,131 +209,51 @@ def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
     if R.group != a.group:
         raise ValueError("braiding and parameters live over different groups")
     group = a.group
-    N = group.order
-    rexp = _pair_exponents(R)
-    W1, W2, Lw = _omega_offsets(a)
-    L = Lw
-    for e in rexp:
-        L = L * e.denominator // math.gcd(L, e.denominator)
-    scale = L // Lw
-    rtab = [int(e * L) for e in rexp]
-    A1, A2, A3, A4, A5, A6 = _hexagon_index_arrays(group.orders)
-    elems = list(group.elements())
-    idx = 0
-    for ix in range(N):
-        for iy in range(N):
-            for iz in range(N):
-                if (rtab[A1[idx]] - rtab[A2[idx]] - rtab[A3[idx]]
-                        - W1[idx] * scale) % L:
-                    return (elems[ix], elems[iy], elems[iz], 1)
-                if (rtab[A4[idx]] - rtab[A5[idx]] - rtab[A6[idx]]
-                        - W2[idx] * scale) % L:
-                    return (elems[ix], elems[iy], elems[iz], 2)
-                idx += 1
-    return None
+    Lw, _ = _hexagon_offsets(a)
+    L = math.lcm(Lw, *(v.exponent.denominator for row in R.r for v in row))
+    r = [[[v.exponent.numerator * (L // v.exponent.denominator) for v in row]
+          for row in R.r]]
+    table = _product_form(group, r, L)
+    if _hexagons_hold(a, table, L, lo=1)[0]:
+        return None
+    bad1, bad2 = (_hexagon_residual(a, which, table, L, 1)[0] != 0 for which in (1, 2))
+    first = int((bad1 | bad2).argmax())
+    K = group.order - 1
+    x, y, z = (group.from_index(int(i) + 1) for i in np.unravel_index(first, (K, K, K)))
+    return (x, y, z, 1 if bad1[first] else 2)
 
 
-def _oracle_slots(group: Group):
-    """Row-major generator-pair slots with the provably sufficient grids."""
-    orders = group.orders
-    n = group.rank
-    slots = [(i, j) for i in range(n) for j in range(n)]
-    sizes = [orders[i] * orders[j] for i, j in slots]
-    return slots, sizes
-
-
-def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6,
-                          method: str = "auto"):
+def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6):
     """Exhaustive search over candidate matrices r[i][j] in mu_(m_i * m_j).
 
     The hexagon equations force r[i][j]^(m_i * m_j) = 1, so this grid
-    contains every solution.  Refuses grids above max_candidates.  method
-    picks the per-candidate checker ("direct") or the vectorized integer
-    path ("numpy"); "auto" switches on grid size.  Output order follows the
-    row-major slot grid and is deterministic.
+    contains every solution.  Refuses grids above max_candidates.  Output
+    order follows the row-major slot grid, last slot fastest, and is
+    deterministic.
     """
     group = a.group
-    slots, sizes = _oracle_slots(group)
+    orders = group.orders
+    n = group.rank
+    sizes = [mi * mj for mi in orders for mj in orders]
     total = math.prod(sizes)
     if total > max_candidates:
         raise ValueError(
             f"candidate grid has {total} points, above the {max_candidates} bound")
-    if method == "auto":
-        method = "direct" if total <= 1024 else "numpy"
-    if method == "direct":
-        out = []
-        for combo in itertools.product(*(range(s) for s in sizes)):
-            r = [[None] * group.rank for _ in range(group.rank)]
-            for (i, j), u, size in zip(slots, combo, sizes):
-                r[i][j] = Root.of(u, size)
-            qb = QuasiBicharacter(group, tuple(tuple(row) for row in r))
-            if verify_hexagons(a, qb) is None:
-                out.append(qb)
-        return out
-    if method != "numpy":
-        raise ValueError(f"unknown method {method!r}")
-    return _brute_force_numpy(a, slots, sizes, total)
-
-
-def _brute_force_numpy(a, slots, sizes, total):
-    group = a.group
-    N = group.order
-    n = group.rank
-    W1, W2, Lw = _omega_offsets(a)
-    L = Lw
-    for s in sizes:
-        L = L * s // math.gcd(L, s)
-    scale = L // Lw
-
-    # B[p, x*N + y] = i_s * j_t for slot p = (s, t)
-    elems = list(group.elements())
-    B = np.zeros((len(slots), N * N), dtype=np.int64)
-    for p, (s, t) in enumerate(slots):
-        for ex in range(N):
-            i_s = elems[ex].exps[s]
-            if not i_s:
-                continue
-            for ey in range(N):
-                B[p, ex * N + ey] = i_s * elems[ey].exps[t]
-
-    A = _hexagon_index_arrays(group.orders)
-    A1, A2, A3, A4, A5, A6 = (np.asarray(x, dtype=np.int64) for x in A)
-    W1 = np.asarray(W1, dtype=np.int64) * scale
-    W2 = np.asarray(W2, dtype=np.int64) * scale
-
-    # identity-containing triples are vacuous for product-form candidates:
-    # the R factors cancel pairwise and the cocycle offset is 0
-    tflat = np.arange(N ** 3)
-    keep = ((tflat // (N * N) != 0) & (tflat // N % N != 0) & (tflat % N != 0))
-    A1, A2, A3, A4, A5, A6 = (x[keep] for x in (A1, A2, A3, A4, A5, A6))
-    W1, W2 = W1[keep], W2[keep]
-
-    strides = [1] * len(sizes)
-    for p in range(len(sizes) - 2, -1, -1):
-        strides[p] = strides[p + 1] * sizes[p + 1]
-    unit = [L // s for s in sizes]
-
+    Lw, _ = _hexagon_offsets(a)
+    L = math.lcm(Lw, *sizes)
+    strides = np.array([math.prod(sizes[p + 1:]) for p in range(n * n)], dtype=np.int64)
+    grid = np.array(sizes, dtype=np.int64)
     survivors = []
-    chunk = 8192
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        W = np.empty((len(idx), len(slots)), dtype=np.int64)
-        for p in range(len(slots)):
-            W[:, p] = (idx // strides[p]) % sizes[p] * unit[p]
-        rtab = (W @ B) % L
-        ok = ((rtab[:, A1] - rtab[:, A2] - rtab[:, A3] - W1) % L == 0).all(axis=1)
-        if ok.any():
-            sub = rtab[ok]
-            ok2 = ((sub[:, A4] - sub[:, A5] - sub[:, A6] - W2) % L == 0).all(axis=1)
-            survivors.extend(int(i) for i in idx[ok][ok2])
-
+    chunk = _chunk(group.order - 1)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = idx[:, None] // strides % grid
+        R = _product_form(group, (digits * (L // grid)).reshape(-1, n, n), L)
+        survivors.extend(digits[_hexagons_hold(a, R, L, lo=1)].tolist())
     out = []
-    for c in survivors:
-        r = [[None] * n for _ in range(n)]
-        for p, ((i, j), size) in enumerate(zip(slots, sizes)):
-            u = (c // strides[p]) % size
-            r[i][j] = Root.of(u, size)
-        out.append(QuasiBicharacter(group, tuple(tuple(row) for row in r)))
+    for row in survivors:
+        roots = [Root.of(u, size) for u, size in zip(row, sizes)]
+        out.append(QuasiBicharacter(group, [roots[i * n:(i + 1) * n] for i in range(n)]))
     return out
 
 
@@ -345,30 +289,20 @@ def brute_force_full_function_space(a: CocycleParams, values_order: int,
         raise ValueError(
             f"function space has {total} points, above the {max_candidates} bound")
 
-    W1, W2, Lw = _omega_offsets(a)
-    L = Lw * values_order // math.gcd(Lw, values_order)
-    scale_w = L // Lw
-    unit = L // values_order
-    A1, A2, A3, A4, A5, A6 = _hexagon_index_arrays(group.orders)
-    ntriples = N ** 3
-
+    Lw, _ = _hexagon_offsets(a)
+    L = math.lcm(Lw, values_order)
+    columns = [p * N + q for p, q in free]
+    lo = 1 if prune_identity else 0
     out = []
-    rtab = [0] * (N * N)
-    for combo in itertools.product(range(values_order), repeat=len(free)):
-        for (p, q), u in zip(free, combo):
-            rtab[p * N + q] = u * unit
-        good = True
-        for t in range(ntriples):
-            if (rtab[A1[t]] - rtab[A2[t]] - rtab[A3[t]] - W1[t] * scale_w) % L:
-                good = False
-                break
-            if (rtab[A4[t]] - rtab[A5[t]] - rtab[A6[t]] - W2[t] * scale_w) % L:
-                good = False
-                break
-        if good:
-            table = {}
-            for p in range(N):
-                for q in range(N):
-                    table[(elems[p], elems[q])] = Root(Fraction(rtab[p * N + q], L))
-            out.append(table)
+    chunk = _chunk(N - lo)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        R = np.zeros((len(idx), N * N), dtype=_int_dtype(5 * L))
+        for k, col in enumerate(columns):
+            R[:, col] = idx // values_order ** (len(free) - 1 - k) % values_order
+        R *= L // values_order
+        R = R.reshape(-1, N, N)
+        for rtab in R[_hexagons_hold(a, R, L, lo)].tolist():
+            out.append({(elems[p], elems[q]): Root(Fraction(rtab[p][q], L))
+                        for p in range(N) for q in range(N)})
     return out

@@ -4,9 +4,12 @@ A parameter choice assigns one exponent to each cyclic factor, each ordered
 pair of factors, and each ordered triple of factors, bounded by the factor
 order resp. the gcd of the orders involved.  Evaluating the closed-form
 associator at a parameter choice gives an exact root of unity for every
-triple of group elements; the verifiers below confirm (or refute, with a
-witness) the pentagon identity, normalization, and symmetry in the last two
-arguments over the whole cube of triples.
+triple of group elements.  A table stores those roots; the verifiers below
+read its integer form (numerators modulo one common denominator, see
+CocycleTable.exponents) with the group's multiplication table, and confirm
+(or refute, with the lexicographically first witness) the pentagon
+identity, normalization, and symmetry in the last two arguments over the
+whole cube of triples.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .groups import Group, GroupElement, carry
 from .roots import Root
@@ -112,23 +117,47 @@ def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,
     return Root(total)
 
 
+def _int_dtype(bound: int):
+    """int64 when every value and sum stays below bound, exact Python ints else."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
 class CocycleTable:
-    """Explicit function on G^3 stored as a flat list of roots of unity.
+    """Explicit function on G^3 as a tuple of roots of unity.
 
     Index layout: ((ix * N) + iy) * N + iz with N = |G| and element indices
     in lexicographic exponent order.  Construction does not require the
-    values to satisfy any identity; the verify_* functions decide that.
+    values to satisfy any identity; the verify_* functions decide that, on
+    the integer form that exponents() gives.
     """
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_exponents")
 
     def __init__(self, group: Group, values):
-        values = list(values)
+        values = tuple(values)
         n = group.order
         if len(values) != n ** 3:
             raise ValueError(f"need {n ** 3} values for |G| = {n}, got {len(values)}")
         self.group = group
         self.values = values
+        self._exponents = None
+
+    def exponents(self):
+        """(L, w): the values as integer numerators mod their common denominator L.
+
+        w is a read-only array of shape (N, N, N) in the cell layout.  Its
+        dtype is int64 when the verifiers' sums of five cells fit, Python
+        ints otherwise.  Computed once per table.
+        """
+        if self._exponents is None:
+            fracs = [v.exponent for v in self.values]
+            L = math.lcm(*(f.denominator for f in fracs))
+            n = self.group.order
+            w = np.array([f.numerator * (L // f.denominator) for f in fracs],
+                         dtype=_int_dtype(5 * L)).reshape(n, n, n)
+            w.setflags(write=False)
+            self._exponents = (L, w)
+        return self._exponents
 
     def value(self, x, y, z) -> Root:
         g = self.group
@@ -165,73 +194,46 @@ def build_table(params: CocycleParams, max_cells: int = 10 ** 6) -> CocycleTable
     return CocycleTable(group, values)
 
 
-def _int_encode(table: CocycleTable):
-    # common denominator turns every check into integer arithmetic mod L
-    L = 1
-    for v in table.values:
-        L = L * v.exponent.denominator // math.gcd(L, v.exponent.denominator)
-    w = [int(v.exponent * L) for v in table.values]
-    return L, w
-
-
-def _mul_index(group: Group):
-    n = group.order
-    elems = list(group.elements())
-    out = [0] * (n * n)
-    for a in range(n):
-        for b in range(n):
-            out[a * n + b] = group.element_index(elems[a] * elems[b])
-    return out
+def _first_witness(group: Group, bad):
+    """The elements at the first True cell of bad in C order, or None."""
+    if not bad.any():
+        return None
+    return tuple(group.from_index(int(i))
+                 for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
 def verify_pentagon(table: CocycleTable):
-    """None if the pentagon identity holds on all of G^4, else the first failure."""
+    """None if the pentagon identity holds on all of G^4, else the first failure.
+
+    w(ef, g, h) + w(e, f, gh) = w(e, f, g) + w(e, fg, h) + w(f, g, h) mod L,
+    checked one slab of fixed e at a time.
+    """
     group = table.group
-    n = group.order
-    L, w = _int_encode(table)
-    mul = _mul_index(group)
-    elems = list(group.elements())
-    for e in range(n):
-        for f in range(n):
-            ef = mul[e * n + f]
-            for g in range(n):
-                fg = mul[f * n + g]
-                wefg = w[(e * n + f) * n + g]
-                for h in range(n):
-                    gh = mul[g * n + h]
-                    lhs = w[(ef * n + g) * n + h] + w[(e * n + f) * n + gh]
-                    rhs = wefg + w[(e * n + fg) * n + h] + w[(f * n + g) * n + h]
-                    if (lhs - rhs) % L:
-                        return (elems[e], elems[f], elems[g], elems[h])
+    L, w = table.exponents()
+    mul = group.mul_table()
+    for e in range(group.order):
+        we = w[e]
+        res = w[mul[e]] + we[:, mul] - we[:, :, None] - we[mul] - w
+        res %= L
+        witness = _first_witness(group, res != 0)
+        if witness is not None:
+            return (group.from_index(e),) + witness
     return None
 
 
 def verify_normalized(table: CocycleTable):
     """None if the value is 1 whenever an argument is the identity, else a witness."""
-    group = table.group
-    n = group.order
-    elems = list(group.elements())
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(n):
-                if ix and iy and iz:
-                    continue
-                if not table.values[(ix * n + iy) * n + iz].is_one():
-                    return (elems[ix], elems[iy], elems[iz])
-    return None
+    _, w = table.exponents()
+    on_identity = np.ones(w.shape, dtype=bool)
+    on_identity[1:, 1:, 1:] = False
+    return _first_witness(table.group, (w != 0) & on_identity)
 
 
 def verify_symmetry_last_two(table: CocycleTable):
     """None if the value is unchanged under swapping the last two arguments."""
-    group = table.group
-    n = group.order
-    elems = list(group.elements())
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(iy + 1, n):
-                if table.values[(ix * n + iy) * n + iz] != table.values[(ix * n + iz) * n + iy]:
-                    return (elems[ix], elems[iy], elems[iz])
-    return None
+    _, w = table.exponents()
+    above = np.triu(np.ones(w.shape[1:], dtype=bool), k=1)
+    return _first_witness(table.group, (w != w.transpose(0, 2, 1)) & above)
 
 
 def params_to_doc(params: CocycleParams) -> dict:
@@ -285,12 +287,22 @@ def table_to_json(table: CocycleTable) -> str:
     return json.dumps(table_to_doc(table))
 
 
+def _int_list(value, what):
+    """value as a tuple of ints if it is a JSON list of integers, else ValueError."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def table_from_doc(doc: dict) -> CocycleTable:
     """Read a table document; ValueError when its shape is not the table schema."""
     if not isinstance(doc, dict):
         raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
-    group = Group(tuple(doc["orders"]))
+    group = Group(_int_list(doc.get("orders"), '"orders"'))
     n = group.order
+    if n ** 3 > 10 ** 6:
+        raise ValueError("a table needs |G|^3 cells; above 10^6 (|G| > 100) is refused")
     values = [Root.one()] * (n ** 3)
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
@@ -298,9 +310,10 @@ def table_from_doc(doc: dict) -> CocycleTable:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"a table entry must be an object, got {entry!r}")
-        x = group.element(tuple(entry["x"]))
-        y = group.element(tuple(entry["y"]))
-        z = group.element(tuple(entry["z"]))
+        x, y, z = (group.element(_int_list(entry.get(k), f'entry "{k}"'))
+                   for k in ("x", "y", "z"))
+        if "w" not in entry:
+            raise ValueError(f'a table entry has no "w": {entry!r}')
         pos = (group.element_index(x) * n + group.element_index(y)) * n \
             + group.element_index(z)
         values[pos] = Root.parse(entry["w"])

@@ -332,8 +332,9 @@ def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
     """
     group = t.group
     n = group.rank
-    values = [Root(sum((m * t.values[cell].exponent for cell, m in cells),
-                       Fraction(0)))
+    L, w = t.exponents()
+    flat = w.reshape(-1).tolist()
+    values = [Root(Fraction(sum(m * flat[cell] for cell, m in cells), L))
               for cells in tensor_to_bar_cells(group.orders)]
     np_ = len(pair_indices(n))
     return TensorCochain3(group, values[:n], values[n:n + np_],

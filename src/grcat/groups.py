@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,22 @@ class Group:
         """All group elements in lexicographic order on exponent vectors."""
         return [GroupElement(self, exps)
                 for exps in itertools.product(*(range(m) for m in self.orders))]
+
+    @lru_cache(maxsize=64)
+    def mul_table(self) -> np.ndarray:
+        """Read-only (N, N) array: entry [a, b] is the index of x_a * x_b.
+
+        Indices follow the lexicographic order of elements(); computed once
+        per group.
+        """
+        digits = np.array(list(itertools.product(*(range(m) for m in self.orders))),
+                          dtype=np.int64)
+        weights = np.array([prod(self.orders[k + 1:]) for k in range(self.rank)],
+                           dtype=np.int64)
+        table = ((digits[:, None, :] + digits[None, :, :])
+                 % np.array(self.orders, dtype=np.int64)) @ weights
+        table.setflags(write=False)
+        return table
 
     def element_index(self, x: "GroupElement") -> int:
         """Lexicographic rank of x within elements()."""

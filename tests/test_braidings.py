@@ -1,5 +1,6 @@
 """Braiding existence, closed-form enumeration, and the two oracles."""
 
+import itertools
 import math
 import random
 
@@ -132,14 +133,55 @@ def test_completeness_matches_brute_force():
         assert set(enumerate_braidings(a)) == set(brute_force_braidings(a))
 
 
-def test_direct_and_vectorized_oracles_agree():
+def first_multiplicative_failure(a, R):
+    """First (x, y, z, which) in lexicographic order where a hexagon fails,
+    read off the multiplicative form with eval_R and eval_cocycle."""
+    elems = a.group.elements()
+    w = lambda p, q, r: eval_cocycle(a, p, q, r)
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if eval_R(R, x * y, z) != (eval_R(R, x, z) * eval_R(R, y, z)
+                                           * w(z, x, y) * w(x, y, z) / w(x, z, y)):
+                    return (x, y, z, 1)
+                if eval_R(R, x, y * z) != (eval_R(R, x, y) * eval_R(R, x, z)
+                                           * w(y, x, z) / (w(y, z, x) * w(x, y, z))):
+                    return (x, y, z, 2)
+    return None
+
+
+def test_grid_oracle_agrees_with_multiplicative_form():
+    # the candidate-grid oracle against the Root-level hexagons: every
+    # survivor satisfies them, and seeded non-survivors violate them
     four = Group((2, 2))
+    rng = random.Random(53)
+    grid = [QuasiBicharacter(four, ((Root.of(u, 4), Root.of(v, 4)),
+                                    (Root.of(s, 4), Root.of(t, 4))))
+            for u, v, s, t in itertools.product(range(4), repeat=4)]
     for a in (zero_params(four), CocycleParams(four, (1, 1), (0,), ())):
-        direct = brute_force_braidings(a, method="direct")
-        fast = brute_force_braidings(a, method="numpy")
-        assert direct == fast
-    with pytest.raises(ValueError):
-        brute_force_braidings(zero_params(four), method="sideways")
+        survivors = brute_force_braidings(a)
+        assert survivors
+        for R in survivors:
+            assert first_multiplicative_failure(a, R) is None, (a, R)
+        rejected = [R for R in grid if R not in set(survivors)]
+        assert len(rejected) + len(survivors) == len(grid)
+        for R in rng.sample(rejected, 12):
+            assert first_multiplicative_failure(a, R) is not None, (a, R)
+
+
+def test_hexagon_witness_matches_multiplicative_scan():
+    # off-grid generator values: verify_hexagons reports the same first
+    # failing (x, y, z, which) as the Root-level scan
+    rng = random.Random(61)
+    for orders in ((4, 2), (2, 2, 2), (3, 3), (4,)):
+        group = Group(orders)
+        params = enumerate_params(group)
+        n = group.rank
+        for _ in range(4):
+            a = rng.choice(params)
+            R = QuasiBicharacter(group, [[Root.of(rng.randrange(24), rng.choice((4, 8, 12, 16)))
+                                          for _ in range(n)] for _ in range(n)])
+            assert verify_hexagons(a, R) == first_multiplicative_failure(a, R), (orders, a, R)
 
 
 def test_hexagon_failure_witness():

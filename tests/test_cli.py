@@ -128,6 +128,25 @@ def test_classify_top_level_array_exits_2(capsys, tmp_path):
     assert err.startswith("grcat:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"orders": 5, "entries": []}, '"orders" must be a list of integers'),
+    ({"orders": "2", "entries": []}, '"orders" must be a list of integers'),
+    ({"orders": [2], "entries": [{"x": 5, "y": [1], "z": [1], "w": "1/2"}]},
+     'entry "x" must be a list of integers'),
+    ({"orders": [2], "entries": [{"x": [True], "y": [1], "z": [1], "w": "1/2"}]},
+     'entry "x" must be a list of integers'),
+    ({"orders": [2], "entries": [{"x": [1], "y": [1], "z": [1]}]},
+     'a table entry has no "w"'),
+    ({"orders": [101], "entries": []}, "above 10^6"),
+])
+def test_malformed_table_documents_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "pentagon", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("grcat:") and err.count("\n") == 1 and message in err
+
+
 def test_classify_groups_above_order_twelve(capsys, tmp_path):
     for orders, literal, params in (
             ("4,4", "1,1;1", ([1, 1], {"1,2": 1}, {})),

@@ -4,7 +4,10 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
                             enumerate_params, eval_cocycle, params_from_json,
@@ -253,3 +256,103 @@ def test_build_table_cell_guard():
     with pytest.raises(ValueError):
         build_table(a, max_cells=1000)
     assert build_table(a, max_cells=24 ** 3).group is group
+
+
+def scan_witnesses(table):
+    """First witnesses of the three verifiers, by a plain scan over the Roots."""
+    elems = table.group.elements()
+    v = table.value
+    pentagon = next(((e, f, g, h) for e, f, g, h in itertools.product(elems, repeat=4)
+                     if v(e * f, g, h) * v(e, f, g * h)
+                     != v(e, f, g) * v(e, f * g, h) * v(f, g, h)), None)
+    normalized = next(((x, y, z) for x, y, z in itertools.product(elems, repeat=3)
+                       if (x.is_identity() or y.is_identity() or z.is_identity())
+                       and not v(x, y, z).is_one()), None)
+    symmetry = next(((x, y, z) for x, y, z in itertools.product(elems, repeat=3)
+                     if table.group.element_index(y) < table.group.element_index(z)
+                     and v(x, y, z) != v(x, z, y)), None)
+    return pentagon, normalized, symmetry
+
+
+def test_verifier_witnesses_match_root_scan():
+    # seeded canonical tables with one to three cells multiplied by a root,
+    # on cells with an identity argument for even k and off them for odd k
+    rng = random.Random(29)
+    for orders in ((4, 2), (3, 3), (2, 2, 2)):
+        group = Group(orders)
+        params = enumerate_params(group)
+        n = group.order
+        cells = ([], [])
+        for c in range(n ** 3):
+            cells[0 in (c // (n * n), c // n % n, c % n)].append(c)
+        for k in range(6):
+            values = list(build_table(rng.choice(params)).values)
+            for _ in range(rng.randint(1, 3)):
+                cell = rng.choice(cells[k % 2 == 0])
+                values[cell] = values[cell] * Root.of(rng.randrange(1, 6), 6)
+            table = CocycleTable(group, values)
+            got = (verify_pentagon(table), verify_normalized(table),
+                   verify_symmetry_last_two(table))
+            assert got == scan_witnesses(table), (orders, k)
+
+
+def test_huge_denominator_stays_exact():
+    # 2^70 does not fit in int64: the exponent table falls back to Python ints
+    group = Group((2,))
+    g = group.generator(0)
+    table = table_from_doc({"orders": [2], "entries": [
+        {"x": [1], "y": [1], "z": [1], "w": "1/1180591620717411303424"}]})
+    L, w = table.exponents()
+    assert L == 2 ** 70 and w.dtype == object and int(w[1, 1, 1]) == 1
+    assert verify_pentagon(table) == (g, g, g, g)
+    assert verify_normalized(table) is None
+    assert verify_symmetry_last_two(table) is None
+
+
+def test_exponents_cached_and_read_only():
+    table = build_table(CocycleParams(Group((4, 2)), (1, 1), (1,), ()))
+    L, w = table.exponents()
+    assert table.exponents()[1] is w
+    assert L == 4 and w.shape == (8, 8, 8) and w.dtype == np.int64
+    assert isinstance(table.values, tuple)
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def table_docs(draw):
+    """Arbitrary JSON, or a well-formed table document in which one field may
+    be replaced by arbitrary JSON or removed, so that every check is reached."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(JSON)
+    orders = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    element = st.lists(st.integers(-3, 7), min_size=len(orders), max_size=len(orders))
+    root = st.sampled_from(["1/2", "0", "3/4", "1/0", "1/", "x"])
+    entries = [{"x": draw(element), "y": draw(element), "z": draw(element), "w": draw(root)}
+               for _ in range(draw(st.integers(0, 3)))]
+    doc = {"orders": orders, "entries": entries}
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([doc] + entries))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_docs())
+def test_table_from_doc_accepts_or_raises_value_error(doc):
+    try:
+        table = table_from_doc(doc)
+    except ValueError:
+        return
+    assert isinstance(table, CocycleTable)
