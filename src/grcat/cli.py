@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import braidings as br
@@ -181,12 +180,13 @@ def _run(args) -> int:
     if args.command == "cocycle":
         group = _parse_orders(args.orders)
         if args.subcommand == "list":
-            params = list(co.enumerate_params(group))
             if args.count:
-                _emit(args, len(params), str(len(params)))
-            else:
-                _emit(args, [co.params_to_doc(p) for p in params],
-                      "\n".join(params_literal(p) for p in params))
+                count = coh.h3_order(group)
+                _emit(args, count, str(count))
+                return 0
+            params = co.enumerate_params(group)
+            _emit(args, [co.params_to_doc(p) for p in params],
+                  "\n".join(params_literal(p) for p in params))
             return 0
         if args.subcommand == "eval":
             params = parse_params_literal(group, args.params)
@@ -297,14 +297,6 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("GRCAT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"grcat: ignoring invalid GRCAT_THREADS={threads!r}",
-                  file=sys.stderr)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,14 +2,17 @@
 
 A parameter choice assigns one exponent to each cyclic factor, each ordered
 pair of factors, and each ordered triple of factors, bounded by the factor
-order resp. the gcd of the orders involved.  Evaluating the closed-form
-associator at a parameter choice gives an exact root of unity for every
-triple of group elements.  A table stores those roots; the verifiers below
-read its integer form (numerators modulo one common denominator, see
-CocycleTable.exponents) with the group's multiplication table, and confirm
-(or refute, with the lexicographically first witness) the pentagon
-identity, normalization, and symmetry in the last two arguments over the
-whole cube of triples.
+order resp. the gcd of the orders involved.  The canonical cocycle is the
+pullback of a tensor 3-cochain through the comparison map phi_3, whose
+multiplicities have a closed form in the digits and carries of the three
+arguments; one kernel (_phi3) evaluates it on one triple or, broadcast, on
+the whole cube.  A table stores the values as exponents: integer numerators
+modulo one common denominator (CocycleTable.exponents), with roots of unity
+built only at the API and JSON boundary.  The verifiers below read those
+exponents with the group's multiplication table, and confirm (or refute,
+with the lexicographically first witness) the pentagon identity,
+normalization, and symmetry in the last two arguments over the whole cube
+of triples.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import Group, GroupElement, carry
+from .groups import Group, GroupElement
 from .roots import Root
 
 
@@ -93,28 +96,59 @@ def enumerate_params(group: Group):
     return out
 
 
-def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,
-                 z: GroupElement) -> Root:
-    """Value of the canonical cocycle at one triple, as an exact root of unity."""
-    group = params.group
-    orders = group.orders
-    n = group.rank
-    i, j, k = x.exps, y.exps, z.exps
-    total = Fraction(0)
+def _representative_nums(params: CocycleParams):
+    """(L, nums): the canonical tensor cochain of a parameter choice.
+
+    Numerators over one common denominator L on the degree-3 tensor
+    generators in degree3_indices order, of a_l/m_l on rrr, a_st/m_t on the
+    rrt slot (s, t), 0 on rtt and a_rst/gcd(m_r, m_s, m_t) on rst.
+    """
+    orders = params.group.orders
+    n = params.group.rank
+    pairs = pair_indices(n)
+    dens = (list(orders) + [orders[t] for _, t in pairs] + [1] * len(pairs)
+            + [math.gcd(orders[r], orders[s], orders[t])
+               for r, s, t in triple_indices(n)])
+    L = math.lcm(*dens)
+    exps = params.diag + params.pairs + (0,) * len(pairs) + params.triples
+    return L, [a * (L // d) for a, d in zip(exps, dens)]
+
+
+def _common_denominator(fracs):
+    """(L, nums): the fractions as integer numerators over their least common
+    denominator L."""
+    L = math.lcm(*(f.denominator for f in fracs))
+    return L, [f.numerator * (L // f.denominator) for f in fracs]
+
+
+def _phi3(orders, nums, i, j, k):
+    """A tensor 3-cochain at phi_3[x|y|z]: an exponent numerator, unreduced.
+
+    nums holds the cochain's numerators in degree3_indices order; i, j, k
+    hold the digits of x, y, z per factor, as ints for one cell or as
+    arrays that broadcast against each other.  After augmentation phi_3
+    gives the slots the multiplicities i_r c(j_r, k_r) (rrr),
+    i_t c(j_r, k_r) (rrt), k_r c(i_t, j_t) (rtt) and -k_r j_s i_t (rst),
+    with c the carry digit (derived from _f3 in notes/decisions.md).
+    """
+    n = len(orders)
+    pairs, triples = pair_indices(n), triple_indices(n)
+    carry_jk = [j[l] + k[l] >= orders[l] for l in range(n)]
+    total = 0
     for l in range(n):
-        a = params.diag[l]
-        if a:
-            total += Fraction(a * i[l] * carry(j[l], k[l], orders[l]), orders[l])
-    for idx, (s, t) in enumerate(pair_indices(n)):
-        a = params.pairs[idx]
-        if a:
-            total += Fraction(a * i[t] * carry(j[s], k[s], orders[s]), orders[t])
-    for idx, (r, s, t) in enumerate(triple_indices(n)):
-        a = params.triples[idx]
-        if a:
-            d = math.gcd(math.gcd(orders[r], orders[s]), orders[t])
-            total -= Fraction(a * k[r] * j[s] * i[t], d)
-    return Root(total)
+        if nums[l]:
+            total = total + nums[l] * i[l] * carry_jk[l]
+    for p, (r, t) in enumerate(pairs):
+        rrt, rtt = nums[n + p], nums[n + len(pairs) + p]
+        if rrt:
+            total = total + rrt * i[t] * carry_jk[r]
+        if rtt:
+            total = total + rtt * k[r] * (i[t] + j[t] >= orders[t])
+    for q, (r, s, t) in enumerate(triples):
+        rst = nums[n + 2 * len(pairs) + q]
+        if rst:
+            total = total - rst * k[r] * j[s] * i[t]
+    return total
 
 
 def _int_dtype(bound: int):
@@ -122,76 +156,124 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
-class CocycleTable:
-    """Explicit function on G^3 as a tuple of roots of unity.
+def _phi3_exponents(group: Group, nums, L: int):
+    """_phi3 on every cell of G^3: an (N, N, N) array of exponents mod L.
 
-    Index layout: ((ix * N) + iy) * N + iz with N = |G| and element indices
-    in lexicographic exponent order.  Construction does not require the
-    values to satisfy any identity; the verify_* functions decide that, on
-    the integer form that exponents() gives.
+    Cells follow the CocycleTable layout.  The sums run in int64 when no
+    partial sum can overflow it, in Python ints otherwise.
+    """
+    N = group.order
+    dtype = _int_dtype(len(nums) * L * max(group.orders) ** 3)
+    digits = np.array(list(itertools.product(*(range(m) for m in group.orders))),
+                      dtype=np.int64).T.astype(dtype)
+    i, j, k = (digits.reshape(group.rank, *shape)
+               for shape in ((N, 1, 1), (1, N, 1), (1, 1, N)))
+    w = np.zeros((N, N, N), dtype=dtype)
+    w += _phi3(group.orders, nums, i, j, k)
+    w %= L
+    return w
+
+
+def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,
+                 z: GroupElement) -> Root:
+    """Value of the canonical cocycle at one triple, as an exact root of unity."""
+    L, nums = _representative_nums(params)
+    return Root(Fraction(_phi3(params.group.orders, nums, x.exps, y.exps, z.exps), L))
+
+
+class CocycleTable:
+    """Explicit function on G^3 with values roots of unity, stored as exponents.
+
+    The state is (L, w) as exponents() returns it: the values' exponents as
+    integer numerators over their least common denominator L, in a read-only
+    array of shape (N, N, N) indexed by element indices in lexicographic
+    exponent order.  values, the same function as a tuple of Root in the
+    flat layout ((ix * N) + iy) * N + iz, is built on first use.
+    Construction does not require the values to satisfy any identity; the
+    verify_* functions decide that on (L, w).
     """
 
-    __slots__ = ("group", "values", "_exponents")
+    __slots__ = ("group", "_L", "_w", "_values")
 
     def __init__(self, group: Group, values):
         values = tuple(values)
         n = group.order
         if len(values) != n ** 3:
             raise ValueError(f"need {n ** 3} values for |G| = {n}, got {len(values)}")
+        L, nums = _common_denominator([v.exponent for v in values])
+        self._assign(group, L, np.array(nums, dtype=_int_dtype(5 * L)).reshape(n, n, n))
+        self._values = values
+
+    @classmethod
+    def _from_exponents(cls, group: Group, L: int, w):
+        """The table of the exponents w over L, reduced to the canonical (L, w)."""
+        g = math.gcd(L, int(np.gcd.reduce(w.reshape(-1))))
+        table = cls.__new__(cls)
+        table._assign(group, L // g, w // g)
+        table._values = None
+        return table
+
+    def _assign(self, group, L, w):
         self.group = group
-        self.values = values
-        self._exponents = None
+        self._L = L
+        self._w = w.astype(_int_dtype(5 * L), copy=False)
+        self._w.setflags(write=False)
 
     def exponents(self):
         """(L, w): the values as integer numerators mod their common denominator L.
 
         w is a read-only array of shape (N, N, N) in the cell layout.  Its
         dtype is int64 when the verifiers' sums of five cells fit, Python
-        ints otherwise.  Computed once per table.
+        ints otherwise.
         """
-        if self._exponents is None:
-            fracs = [v.exponent for v in self.values]
-            L = math.lcm(*(f.denominator for f in fracs))
-            n = self.group.order
-            w = np.array([f.numerator * (L // f.denominator) for f in fracs],
-                         dtype=_int_dtype(5 * L)).reshape(n, n, n)
-            w.setflags(write=False)
-            self._exponents = (L, w)
-        return self._exponents
+        return self._L, self._w
+
+    @property
+    def values(self):
+        """The values as a tuple of Root in the flat cell layout."""
+        if self._values is None:
+            distinct, where = np.unique(self._w, return_inverse=True)
+            roots = [Root(Fraction(k, self._L)) for k in distinct.tolist()]
+            self._values = tuple(map(roots.__getitem__, where.reshape(-1).tolist()))
+        return self._values
 
     def value(self, x, y, z) -> Root:
         g = self.group
-        return self.values[(g.element_index(x) * g.order + g.element_index(y))
-                           * g.order + g.element_index(z)]
+        cell = self._w[g.element_index(x), g.element_index(y), g.element_index(z)]
+        return Root(Fraction(int(cell), self._L))
+
+    def _combine(self, other, sign):
+        if self.group != other.group:
+            raise ValueError("tables live over different groups")
+        L = math.lcm(self._L, other._L)
+        dtype = _int_dtype(5 * L)
+        w = (self._w.astype(dtype) * (L // self._L)
+             + sign * other._w.astype(dtype) * (L // other._L))
+        return CocycleTable._from_exponents(self.group, L, w % L)
 
     def __mul__(self, other):
-        if self.group != other.group:
-            raise ValueError("tables live over different groups")
-        return CocycleTable(self.group,
-                            [a * b for a, b in zip(self.values, other.values)])
+        return self._combine(other, 1)
 
     def __truediv__(self, other):
-        if self.group != other.group:
-            raise ValueError("tables live over different groups")
-        return CocycleTable(self.group,
-                            [a / b for a, b in zip(self.values, other.values)])
+        return self._combine(other, -1)
 
     def __eq__(self, other):
         return (isinstance(other, CocycleTable) and self.group == other.group
-                and self.values == other.values)
+                and self._L == other._L and np.array_equal(self._w, other._w))
 
 
 def build_table(params: CocycleParams, max_cells: int = 10 ** 6) -> CocycleTable:
-    """Tabulate the cocycle over all of G^3; refuses above max_cells entries."""
+    """Tabulate the cocycle over all of G^3; refuses above max_cells entries.
+
+    The table is the pullback through phi_3 of the canonical tensor cochain,
+    in closed form on all cells at once.
+    """
     group = params.group
     size = group.order ** 3
     if size > max_cells:
         raise ValueError(f"table would need {size} cells, above the {max_cells} bound")
-    values = [eval_cocycle(params, x, y, z)
-              for x in group.elements()
-              for y in group.elements()
-              for z in group.elements()]
-    return CocycleTable(group, values)
+    L, nums = _representative_nums(params)
+    return CocycleTable._from_exponents(group, L, _phi3_exponents(group, nums, L))
 
 
 def _first_witness(group: Group, bad):
@@ -252,16 +334,31 @@ def params_to_json(params: CocycleParams) -> str:
     return json.dumps(params_to_doc(params))
 
 
+def _slot_values(doc: dict, field: str, n: int, slots) -> tuple:
+    """The integers of the "a2"/"a3" object in slot order; absent keys are 0."""
+    block = doc.get(field, {})
+    if not isinstance(block, dict):
+        raise ValueError(f'"{field}" must be an object, got {type(block).__name__}')
+    keys = [",".join(str(i + 1) for i in slot) for slot in slots]
+    for key, value in block.items():
+        if key not in keys:
+            raise ValueError(f'"{field}" has no slot {key!r} on a group of rank {n}')
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f'"{field}" value at {key!r} must be an integer, '
+                             f'got {value!r}')
+    return tuple(block.get(key, 0) for key in keys)
+
+
 def params_from_doc(doc: dict) -> CocycleParams:
-    group = Group(tuple(doc["orders"]))
+    """Read a params document; ValueError naming the field when it is malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("a params document must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    group = Group(_int_list(doc.get("orders"), '"orders"'))
     n = group.rank
-    diag = tuple(doc["a"])
-    a2 = doc.get("a2", {})
-    a3 = doc.get("a3", {})
-    pairs = tuple(int(a2.get(f"{s + 1},{t + 1}", 0)) for s, t in pair_indices(n))
-    triples = tuple(int(a3.get(f"{r + 1},{s + 1},{t + 1}", 0))
-                    for r, s, t in triple_indices(n))
-    return CocycleParams(group, diag, pairs, triples)
+    return CocycleParams(group, _int_list(doc.get("a"), '"a"'),
+                         _slot_values(doc, "a2", n, pair_indices(n)),
+                         _slot_values(doc, "a3", n, triple_indices(n)))
 
 
 def params_from_json(text: str) -> CocycleParams:
@@ -269,18 +366,16 @@ def params_from_json(text: str) -> CocycleParams:
 
 
 def table_to_doc(table: CocycleTable) -> dict:
-    group = table.group
-    entries = []
-    idx = 0
-    for x in group.elements():
-        for y in group.elements():
-            for z in group.elements():
-                v = table.values[idx]
-                idx += 1
-                if not v.is_one():
-                    entries.append({"x": list(x.exps), "y": list(y.exps),
-                                    "z": list(z.exps), "w": str(v)})
-    return {"orders": list(group.orders), "entries": entries}
+    """The cells whose value is not 1, in C order, with values as "p/q"."""
+    L, w = table.exponents()
+    exps = [x.exps for x in table.group.elements()]
+    nums = w[w != 0].tolist()
+    # 0 < k < L, so str(Fraction(k, L)) is the "p/q" that str(Root) prints
+    text = {k: str(Fraction(k, L)) for k in set(nums)}
+    cells = zip(*(a.tolist() for a in np.nonzero(w)), nums)
+    return {"orders": list(table.group.orders),
+            "entries": [{"x": list(exps[x]), "y": list(exps[y]), "z": list(exps[z]),
+                         "w": text[k]} for x, y, z, k in cells]}
 
 
 def table_to_json(table: CocycleTable) -> str:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cocycles import (CocycleParams, CocycleTable, pair_indices,
-                       triple_indices, verify_normalized, verify_pentagon)
+import numpy as np
+
+from .cocycles import (CocycleParams, CocycleTable, _common_denominator, _int_dtype,
+                       _representative_nums, pair_indices, triple_indices,
+                       verify_normalized, verify_pentagon)
 from .complexes import tensor_to_bar_cells
 from .groups import Group
 from .intlinalg import smith_normal_form, solve_mod1, solve_with_snf
@@ -69,25 +72,18 @@ class TensorCochain3:
         r, s, t = (pos for pos, _ in support)
         return self.rst[triple_indices(n).index((r, s, t))]
 
-    def __mul__(self, other):
+    def _combine(self, other, op):
         if self.group != other.group:
             raise ValueError("cochains live over different groups")
-        return TensorCochain3(
-            self.group,
-            tuple(a * b for a, b in zip(self.diag, other.diag)),
-            tuple(a * b for a, b in zip(self.iij, other.iij)),
-            tuple(a * b for a, b in zip(self.ijj, other.ijj)),
-            tuple(a * b for a, b in zip(self.rst, other.rst)))
+        parts = ((self.diag, other.diag), (self.iij, other.iij),
+                 (self.ijj, other.ijj), (self.rst, other.rst))
+        return TensorCochain3(self.group, *(tuple(map(op, a, b)) for a, b in parts))
+
+    def __mul__(self, other):
+        return self._combine(other, Root.__mul__)
 
     def __truediv__(self, other):
-        if self.group != other.group:
-            raise ValueError("cochains live over different groups")
-        return TensorCochain3(
-            self.group,
-            tuple(a / b for a, b in zip(self.diag, other.diag)),
-            tuple(a / b for a, b in zip(self.iij, other.iij)),
-            tuple(a / b for a, b in zip(self.ijj, other.ijj)),
-            tuple(a / b for a, b in zip(self.rst, other.rst)))
+        return self._combine(other, Root.__truediv__)
 
 
 def all_ones_cochain(group: Group) -> TensorCochain3:
@@ -191,19 +187,18 @@ def h3_order(group: Group) -> int:
     return total
 
 
+def _cochain_from_slots(group: Group, values) -> TensorCochain3:
+    """The cochain with the given values in degree3_indices order."""
+    n = group.rank
+    p = len(pair_indices(n))
+    return TensorCochain3(group, values[:n], values[n:n + p], values[n + p:n + 2 * p],
+                          values[n + 2 * p:])
+
+
 def representative_cochain(a: CocycleParams) -> TensorCochain3:
     """The canonical cocycle on the small complex for one parameter choice."""
-    group = a.group
-    orders = group.orders
-    n = group.rank
-    diag = tuple(Root.of(a.diag[l], orders[l]) for l in range(n))
-    iij = tuple(Root.of(a.pairs[k], orders[j])
-                for k, (i, j) in enumerate(pair_indices(n)))
-    ijj = (Root.one(),) * len(pair_indices(n))
-    rst = tuple(Root.of(a.triples[k],
-                        math.gcd(math.gcd(orders[r], orders[s]), orders[t]))
-                for k, (r, s, t) in enumerate(triple_indices(n)))
-    return TensorCochain3(group, diag, iij, ijj, rst)
+    L, nums = _representative_nums(a)
+    return _cochain_from_slots(a.group, [Root.of(k, L) for k in nums])
 
 
 def reduce_to_normal_form(f: TensorCochain3):
@@ -277,22 +272,21 @@ def _bar_system(orders: tuple):
 
 
 def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
-    """Table of the coboundary of a normalized 2-cochain given on G x G."""
-    one = Root.one()
+    """Table of the coboundary of a normalized 2-cochain given on G x G.
 
-    def val(p, q):
-        if p.is_identity() or q.is_identity():
-            return one
-        return b[(p, q)]
-
-    values = []
-    for x in group.elements():
-        for y in group.elements():
-            xy = x * y
-            for z in group.elements():
-                values.append(val(y, z) * val(xy, z).inv()
-                              * val(x, y * z) * val(x, y).inv())
-    return CocycleTable(group, values)
+    (db)(x, y, z) = b(y, z) b(xy, z)^-1 b(x, yz) b(x, y)^-1, with b read on
+    pairs of non-identity elements and 1 on the others.
+    """
+    N = group.order
+    elems = group.elements()
+    L, nums = _common_denominator([b[(p, q)].exponent
+                                   for p in elems[1:] for q in elems[1:]])
+    B = np.zeros((N, N), dtype=_int_dtype(5 * L))
+    B[1:, 1:] = np.array(nums, dtype=B.dtype).reshape(N - 1, N - 1)
+    mul = group.mul_table()
+    x = np.arange(N)[:, None, None]
+    w = B[None] - B[mul] + B[x, mul] - B[:, :, None]
+    return CocycleTable._from_exponents(group, L, w % L)
 
 
 def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
@@ -330,15 +324,11 @@ def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
     its psi_3 image, weighted by their multiplicities.  For a normalized
     cocycle table the result is a tensor cocycle in the same class.
     """
-    group = t.group
-    n = group.rank
     L, w = t.exponents()
     flat = w.reshape(-1).tolist()
-    values = [Root(Fraction(sum(m * flat[cell] for cell, m in cells), L))
-              for cells in tensor_to_bar_cells(group.orders)]
-    np_ = len(pair_indices(n))
-    return TensorCochain3(group, values[:n], values[n:n + np_],
-                          values[n + np_:n + 2 * np_], values[n + 2 * np_:])
+    return _cochain_from_slots(t.group, [
+        Root(Fraction(sum(m * flat[cell] for cell, m in cells), L))
+        for cells in tensor_to_bar_cells(t.group.orders)])
 
 
 def classify(t: CocycleTable, verify_unique: bool = False) -> CocycleParams:

@@ -13,14 +13,12 @@ commute with the differentials.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .cocycles import pair_indices, triple_indices
+from .cocycles import (CocycleTable, _common_denominator, _phi3_exponents,
+                       pair_indices, triple_indices)
 from .groups import Group, GroupElement
-from .roots import Root
 
 
 class GroupRingElement:
@@ -273,8 +271,19 @@ def tensor_differential(v: ChainVector) -> ChainVector:
     return out
 
 
-def _elem(group, exps):
-    return GroupElement(group, tuple(exps))
+def _unit(group, parts, digits, sign=1):
+    """sign times one group element, as a group ring element.
+
+    Its exponent in factor l is the sum of v[l] over the (v, cut) in parts
+    with l < cut, plus digits.get(l, 0).
+    """
+    exps = [0] * group.rank
+    for v, cut in parts:
+        for l in range(cut):
+            exps[l] += v[l]
+    for l, d in digits.items():
+        exps[l] += d
+    return GroupRingElement.unit(GroupElement(group, tuple(exps)), sign)
 
 
 def _f1(group, gen):
@@ -283,117 +292,52 @@ def _f1(group, gen):
     out = ChainVector(group)
     for s in range(n):
         for alpha in range(i[s]):
-            exps = [i[l] if l < s else 0 for l in range(n)]
-            exps[s] = alpha
-            out.add_term(_phi_at(n, s), GroupRingElement.unit(_elem(group, exps)))
+            out.add_term(_phi_at(n, s), _unit(group, [(i, s)], {s: alpha}))
     return out
 
 
 def _f2(group, gen):
-    i = gen.elems[0].exps
-    j = gen.elems[1].exps
+    i, j = (e.exps for e in gen.elems)
     n = group.rank
-    orders = group.orders
     out = ChainVector(group)
     for s in range(n):
-        if i[s] + j[s] >= orders[s]:
-            exps = [i[l] + j[l] if l < s else 0 for l in range(n)]
-            out.add_term(_phi_at(n, s, s), GroupRingElement.unit(_elem(group, exps)))
-    for s in range(n):
-        for t in range(s + 1, n):
-            for alpha in range(j[s]):
-                for beta in range(i[t]):
-                    exps = []
-                    for l in range(n):
-                        e = 0
-                        if l < t:
-                            e += i[l]
-                        if l < s:
-                            e += j[l]
-                        if l == s:
-                            e += alpha
-                        if l == t:
-                            e += beta
-                        exps.append(e)
-                    out.add_term(_phi_at(n, s, t),
-                                 GroupRingElement.unit(_elem(group, exps)) * -1)
+        if i[s] + j[s] >= group.orders[s]:
+            out.add_term(_phi_at(n, s, s), _unit(group, [(i, s), (j, s)], {}))
+    for s, t in pair_indices(n):
+        for alpha in range(j[s]):
+            for beta in range(i[t]):
+                out.add_term(_phi_at(n, s, t),
+                             _unit(group, [(i, t), (j, s)], {s: alpha, t: beta}, -1))
     return out
 
 
 def _f3(group, gen):
-    i = gen.elems[0].exps
-    j = gen.elems[1].exps
-    k = gen.elems[2].exps
+    i, j, k = (e.exps for e in gen.elems)
     n = group.rank
     orders = group.orders
     out = ChainVector(group)
-
     for r in range(n):
         if j[r] + k[r] >= orders[r]:
             for beta in range(i[r]):
-                exps = [j[l] + k[l] + i[l] if l < r else 0 for l in range(n)]
-                exps[r] = beta
                 out.add_term(_phi_at(n, r, r, r),
-                             GroupRingElement.unit(_elem(group, exps)))
-
-    for r in range(n):
-        for t in range(r + 1, n):
-            if j[r] + k[r] >= orders[r]:
-                for beta in range(i[t]):
-                    exps = []
-                    for l in range(n):
-                        e = 0
-                        if l < r:
-                            e += j[l] + k[l]
-                        if l < t:
-                            e += i[l]
-                        if l == t:
-                            e += beta
-                        exps.append(e)
-                    out.add_term(_phi_at(n, r, r, t),
-                                 GroupRingElement.unit(_elem(group, exps)))
-
-    for r in range(n):
-        for t in range(r + 1, n):
-            if i[t] + j[t] >= orders[t]:
+                             _unit(group, [(j, r), (k, r), (i, r)], {r: beta}))
+    for r, t in pair_indices(n):
+        if j[r] + k[r] >= orders[r]:
+            for beta in range(i[t]):
+                out.add_term(_phi_at(n, r, r, t),
+                             _unit(group, [(j, r), (k, r), (i, t)], {t: beta}))
+    for r, t in pair_indices(n):
+        if i[t] + j[t] >= orders[t]:
+            for gamma in range(k[r]):
+                out.add_term(_phi_at(n, r, t, t),
+                             _unit(group, [(i, t), (j, t), (k, r)], {r: gamma}))
+    for r, s, t in triple_indices(n):
+        for beta in range(i[t]):
+            for alpha in range(j[s]):
                 for gamma in range(k[r]):
-                    exps = []
-                    for l in range(n):
-                        e = 0
-                        if l < t:
-                            e += i[l] + j[l]
-                        if l < r:
-                            e += k[l]
-                        if l == r:
-                            e += gamma
-                        exps.append(e)
-                    out.add_term(_phi_at(n, r, t, t),
-                                 GroupRingElement.unit(_elem(group, exps)))
-
-    for r in range(n):
-        for s in range(r + 1, n):
-            for t in range(s + 1, n):
-                for beta in range(i[t]):
-                    for alpha in range(j[s]):
-                        for gamma in range(k[r]):
-                            exps = []
-                            for l in range(n):
-                                e = 0
-                                if l < t:
-                                    e += i[l]
-                                if l < s:
-                                    e += j[l]
-                                if l < r:
-                                    e += k[l]
-                                if l == t:
-                                    e += beta
-                                if l == s:
-                                    e += alpha
-                                if l == r:
-                                    e += gamma
-                                exps.append(e)
-                            out.add_term(_phi_at(n, r, s, t),
-                                         GroupRingElement.unit(_elem(group, exps)) * -1)
+                    digits = {t: beta, s: alpha, r: gamma}
+                    out.add_term(_phi_at(n, r, s, t),
+                                 _unit(group, [(i, t), (j, s), (k, r)], digits, -1))
     return out
 
 
@@ -546,51 +490,21 @@ def tensor_to_bar_cells(orders: tuple):
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _chain_map_slots(orders: tuple):
-    """chain_map on every cell of G^3, as integer lists per group shape.
-
-    One tuple per cell in the layout of CocycleTable, holding (slot,
-    multiplicity) pairs: the slot indexes degree3_indices, the multiplicity
-    is the augmentation of the coefficient.  Cells with an identity
-    argument map to the empty tuple.
-    """
-    group = Group(orders)
-    slot = {index: k for k, index in enumerate(degree3_indices(group.rank))}
-    out = []
-    for x, y, z in itertools.product(group.elements(), repeat=3):
-        gen = bar_generator((x, y, z))
-        pairs = []
-        if gen is not None:
-            for tgen, coeff in chain_map(group, gen).terms.items():
-                mult = coeff.augmentation()
-                if mult:
-                    pairs.append((slot[tgen.index], mult))
-        out.append(tuple(pairs))
-    return tuple(out)
-
-
 def pullback_3cochain(f, group: Group, max_cells: int = 10 ** 6):
-    """Compose a tensor 3-cochain with the degree-3 comparison map.
+    """Compose a tensor 3-cochain with the degree-3 comparison map phi_3.
 
     f must expose value(index_tuple) -> Root on degree-3 multi-indices.
     Coefficients act through the augmentation since the values carry the
-    trivial group action.  Returns the induced table on G^3.
+    trivial group action, so cell [x|y|z] takes the values of f weighted by
+    the augmented coefficients of chain_map([x|y|z]).  Those multiplicities
+    have a closed form in the digits and carries of x, y, z, which
+    cocycles._phi3_exponents evaluates on all of G^3 over one common
+    denominator (derived from _f3 in notes/decisions.md).  Returns the
+    induced table on G^3.
     """
-    from .cocycles import CocycleTable
-
     size = group.order ** 3
     if size > max_cells:
         raise ValueError(f"table would need {size} cells, above the {max_cells} bound")
-    exps = [f.value(index).exponent for index in degree3_indices(group.rank)]
-    L = math.lcm(*(e.denominator for e in exps))
-    nums = [int(e * L) for e in exps]
-    roots = {}
-    values = []
-    for pairs in _chain_map_slots(group.orders):
-        k = sum(m * nums[s] for s, m in pairs) % L
-        root = roots.get(k)
-        if root is None:
-            root = roots[k] = Root(Fraction(k, L))
-        values.append(root)
-    return CocycleTable(group, values)
+    L, nums = _common_denominator([f.value(index).exponent
+                                   for index in degree3_indices(group.rank)])
+    return CocycleTable._from_exponents(group, L, _phi3_exponents(group, nums, L))

@@ -212,6 +212,15 @@ def test_braidings_count_is_closed_form(capsys, monkeypatch):
     assert code == 0 and out == "65536\n"
 
 
+def test_cocycle_list_count_is_closed_form(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--count must not enumerate")
+    monkeypatch.setattr("grcat.cocycles.enumerate_params", refuse)
+    code, out, _ = run_cli(capsys, "cocycle", "list", "--count", "--orders",
+                           "64,64,64")
+    assert code == 0 and out == "4398046511104\n"
+
+
 def test_oracle_full_space(capsys):
     code, out, _ = run_cli(capsys, "oracle", "full-space", "--orders", "2",
                            "--params", "1", "--values-order", "8", "--count")
@@ -271,14 +280,14 @@ def test_verify_output_is_deterministic(capsys):
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GRCAT_THREADS", "abc")
-    code, out, err = run_cli(capsys, "h3", "--orders", "2")
-    assert code == 0 and out == "2\n"
-    assert "GRCAT_THREADS" in err
-    monkeypatch.setenv("GRCAT_THREADS", "4")
-    code, _, err = run_cli(capsys, "h3", "--orders", "2")
-    assert code == 0 and err == ""
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    # GRCAT_THREADS is read by nothing: output and exit code do not depend on it
+    argv = ("cocycle", "eval", "--orders", "2", "--params", "1",
+            "--x", "1", "--y", "1", "--z", "1")
+    unset = run_cli(capsys, *argv)
+    for value in ("abc", "0", "4"):
+        monkeypatch.setenv("GRCAT_THREADS", value)
+        assert run_cli(capsys, *argv) == unset
 
 
 def test_params_literal_round_trip():

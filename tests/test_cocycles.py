@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
-                            enumerate_params, eval_cocycle, params_from_json,
-                            params_to_doc, params_to_json, table_from_doc,
-                            table_from_json, table_to_doc, table_to_json,
-                            verify_normalized, verify_pentagon,
+                            enumerate_params, eval_cocycle, params_from_doc,
+                            params_from_json, params_to_doc, params_to_json,
+                            table_from_doc, table_from_json, table_to_doc,
+                            table_to_json, verify_normalized, verify_pentagon,
                             verify_symmetry_last_two)
-from grcat.cohomology import h3_order
+from grcat.cohomology import TensorCochain3, h3_order
+from grcat.complexes import pullback_3cochain
 from grcat.groups import Group
 from grcat.roots import Root
 
@@ -106,6 +109,47 @@ def test_eval_matches_table_lookup():
     for _ in range(100):
         x, y, z = (rng.choice(elems) for _ in range(3))
         assert table.value(x, y, z) == eval_cocycle(a, x, y, z)
+
+
+def paper_exponent(a, x, y, z):
+    """E(x, y, z) of notes/decisions.md, summed in Fractions term by term: the
+    paper's formula, sharing no code with the library's phi_3 kernel."""
+    m = a.group.orders
+    i, j, k = x.exps, y.exps, z.exps
+    ranks = range(len(m))
+    total = sum(Fraction(a.diag[l] * i[l] * (j[l] + k[l] >= m[l]), m[l]) for l in ranks)
+    for s, t in itertools.combinations(ranks, 2):
+        total += Fraction(a.pair_value(s, t) * i[t] * (j[s] + k[s] >= m[s]), m[t])
+    for r, s, t in itertools.combinations(ranks, 3):
+        total -= Fraction(a.triple_value(r, s, t) * k[r] * j[s] * i[t],
+                          math.gcd(m[r], m[s], m[t]))
+    return total
+
+
+@pytest.mark.parametrize("orders, classes, cells", [
+    ((2, 2, 2), 4, None), ((4, 3), 3, None), ((4, 4), 3, None),
+    ((2, 2, 2, 2), 3, None), ((6, 4), 2, None), ((8, 8), 1, 2000)],
+    ids=["Z2^3", "Z4xZ3", "Z4^2", "Z2^4", "Z6xZ4", "Z8^2"])
+def test_table_and_eval_match_paper_formula(orders, classes, cells):
+    # seeded classes plus the one with every exponent at its maximum; the whole
+    # cube against the formula's own table, or sampled cells on Z_8^2
+    group = Group(orders)
+    rng = random.Random(str(orders))
+    params = enumerate_params(group)
+    elems = group.elements()
+    for a in rng.sample(params[:-1], classes - 1) + [params[-1]]:
+        table = build_table(a)
+        if cells is None:
+            assert table == CocycleTable(group, [
+                Root(paper_exponent(a, x, y, z))
+                for x, y, z in itertools.product(elems, repeat=3)]), (orders, a)
+        else:
+            for _ in range(cells):
+                x, y, z = (rng.choice(elems) for _ in range(3))
+                assert table.value(x, y, z) == Root(paper_exponent(a, x, y, z))
+        for _ in range(50):
+            x, y, z = (rng.choice(elems) for _ in range(3))
+            assert eval_cocycle(a, x, y, z) == Root(paper_exponent(a, x, y, z))
 
 
 def small_group_list(bound):
@@ -234,6 +278,9 @@ def test_table_pointwise_operations():
     assert ratio == a
     g1 = group.generator(0)
     assert prod.value(g1, g1, g1) == a.value(g1, g1, g1) * b.value(g1, g1, g1)
+    # quotients bring (L, w) back to the least common denominator
+    assert (prod / prod).exponents()[0] == 1
+    assert (prod / prod) == build_table(zero_params(group))
 
 
 def test_param_validation():
@@ -307,6 +354,15 @@ def test_huge_denominator_stays_exact():
     assert verify_pentagon(table) == (g, g, g, g)
     assert verify_normalized(table) is None
     assert verify_symmetry_last_two(table) is None
+    # the phi_3 kernel takes the same path: the pullback of the Z_2 cochain
+    # with value 1/2^70 on Phi(3) is this table, exact through values and JSON
+    pulled = pullback_3cochain(TensorCochain3(group, (Root.of(1, 2 ** 70),), (), (), ()),
+                               group)
+    assert pulled == table and pulled.exponents()[1].dtype == object
+    assert pulled.values[-1] == Root.of(1, 2 ** 70)
+    assert all(v.is_one() for v in pulled.values[:-1])
+    assert json.loads(table_to_json(pulled))["entries"] == [
+        {"x": [1], "y": [1], "z": [1], "w": "1/1180591620717411303424"}]
 
 
 def test_exponents_cached_and_read_only():
@@ -348,11 +404,57 @@ def table_docs(draw):
     return doc
 
 
-@settings(max_examples=300, deadline=None)
-@given(table_docs())
-def test_table_from_doc_accepts_or_raises_value_error(doc):
+@st.composite
+def params_docs(draw):
+    """Arbitrary JSON, or a params document whose fields are drawn near the
+    schema, with one field possibly replaced by arbitrary JSON or removed."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(JSON)
+    orders = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    n = len(orders)
+    exps = st.integers(0, 1) | st.integers(-1, 4)
+    keys = (st.sampled_from(["1,2", "1,3", "2,3", "1,2,3"])
+            | st.lists(st.integers(0, 4), min_size=2, max_size=3).map(
+                lambda v: ",".join(map(str, v))))
+    doc = {"orders": orders,
+           "a": draw(st.lists(exps, min_size=n, max_size=n)),
+           "a2": draw(st.dictionaries(keys, exps, max_size=2)),
+           "a3": draw(st.dictionaries(keys, exps, max_size=2))}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"orders": [2], "a": [1]}], "must be a JSON object"),
+    ({"a": [1]}, '"orders" must be a list of integers'),
+    ({"orders": [2]}, '"a" must be a list of integers'),
+    ({"orders": [2], "a": "1"}, '"a" must be a list of integers'),
+    ({"orders": [2], "a": [True]}, '"a" must be a list of integers'),
+    ({"orders": [2, 2], "a": [1, 0], "a2": [1]}, '"a2" must be an object'),
+    ({"orders": [2, 2, 2], "a": [1, 0, 0], "a3": 1}, '"a3" must be an object'),
+    ({"orders": [2, 2], "a": [1, 0], "a2": {"3,4": 1}}, '"a2" has no slot'),
+    ({"orders": [2, 2], "a": [1, 0], "a3": {"1,2,3": 1}}, '"a3" has no slot'),
+    ({"orders": [2, 2], "a": [1, 0], "a2": {"1,2": "1"}}, '"a2" value at'),
+])
+def test_malformed_params_documents(doc, message):
+    with pytest.raises(ValueError) as info:
+        params_from_doc(doc)
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(table_docs().map(lambda doc: (table_from_doc, CocycleTable, doc)),
+                 params_docs().map(lambda doc: (params_from_doc, CocycleParams, doc))))
+def test_documents_accept_or_raise_value_error(case):
+    # both document readers: every input gives an object or a ValueError
+    reader, kind, doc = case
     try:
-        table = table_from_doc(doc)
+        result = reader(doc)
     except ValueError:
         return
-    assert isinstance(table, CocycleTable)
+    assert isinstance(result, kind)

@@ -1,11 +1,14 @@
 """Resolutions, differentials, and the comparison maps between them."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from grcat.cocycles import CocycleParams, build_table, enumerate_params
-from grcat.cohomology import representative_cochain
+from grcat.cocycles import (CocycleParams, CocycleTable, build_table, enumerate_params,
+                            pair_indices, triple_indices)
+from grcat.cohomology import TensorCochain3, representative_cochain
 from grcat import complexes
 from grcat.complexes import (BarGenerator, ChainVector, GroupRingElement,
                              TensorGenerator, apply_chain_map,
@@ -16,6 +19,7 @@ from grcat.complexes import (BarGenerator, ChainVector, GroupRingElement,
                              tensor_to_bar_cells, verify_chain_map,
                              verify_tensor_to_bar)
 from grcat.groups import Group
+from grcat.roots import Root
 
 
 def unit(group):
@@ -200,6 +204,33 @@ def test_pullback_rank_three_spots():
     for a in picks:
         f = representative_cochain(a)
         assert pullback_3cochain(f, group) == build_table(a), a
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (3, 3), (2, 2, 2)],
+                         ids=["Z4xZ2", "Z3^2", "Z2^3"])
+def test_pullback_matches_augmented_chain_map(orders):
+    # the pullback by its definition: every cell sums the cochain over the
+    # augmented coefficients of chain_map, on random cochains with ijj set
+    group = Group(orders)
+    n = group.rank
+    images = [{} if gen is None else
+              {t.index: c.augmentation() for t, c in chain_map(group, gen).terms.items()}
+              for gen in (bar_generator(c) for c in
+                          itertools.product(group.elements(), repeat=3))]
+    rng = random.Random(str(orders))
+
+    def roots(count, low=0):
+        return [Root.of(rng.randrange(low, 12), 12) for _ in range(count)]
+
+    pairs = len(pair_indices(n))
+    for _ in range(3):
+        f = TensorCochain3(group, roots(n), roots(pairs), roots(pairs, low=1),
+                           roots(len(triple_indices(n))))
+        expected = CocycleTable(group, [
+            Root(sum((m * f.value(index).exponent for index, m in image.items()),
+                     Fraction(0)))
+            for image in images])
+        assert pullback_3cochain(f, group) == expected, f
 
 
 def test_pullback_cell_guard():
