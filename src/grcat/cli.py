@@ -63,14 +63,19 @@ def _parse_element(group: Group, text: str):
     return group.element(exps)
 
 
-def _load_table(path: str) -> co.CocycleTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return co.table_from_doc(json.load(fh))
+def _load_table(args) -> co.CocycleTable:
+    """The --table file, cross-checked against --orders when that is given."""
+    with open(args.table, "r", encoding="utf-8") as fh:
+        table = co.table_from_doc(json.load(fh))
+    if args.orders is not None and _parse_orders(args.orders) != table.group:
+        raise ValueError("--orders does not match the table file")
+    return table
 
 
-def _emit(args, doc, plain: str):
+def _emit(args, doc, plain=None):
+    """doc as JSON, or plain (by default str(doc)) under --format plain."""
     if args.format == "plain":
-        print(plain)
+        print(str(doc) if plain is None else plain)
     else:
         print(json.dumps(doc))
 
@@ -155,11 +160,7 @@ def _build_parser():
 
 def _table_for_verify(args):
     if args.table is not None:
-        table = _load_table(args.table)
-        if args.orders is not None:
-            if _parse_orders(args.orders) != table.group:
-                raise ValueError("--orders does not match the table file")
-        return table
+        return _load_table(args)
     if args.orders is None:
         raise ValueError("either --orders with --params or --table is required")
     group = _parse_orders(args.orders)
@@ -167,22 +168,23 @@ def _table_for_verify(args):
     return co.build_table(params, max_cells=args.max_cells)
 
 
-def _matrix_doc(qb):
-    return [[str(v) for v in row] for row in qb.r]
+def _emit_braidings(args, found):
+    _emit(args, [[[str(v) for v in row] for row in qb.r] for qb in found],
+          "\n".join("; ".join(" ".join(str(v) for v in row) for row in qb.r)
+                    for qb in found) or "(none)")
 
 
 def _run(args) -> int:
     if args.command == "h3":
         group = _parse_orders(args.orders)
-        _emit(args, coh.h3_order(group), str(coh.h3_order(group)))
+        _emit(args, coh.h3_order(group))
         return 0
 
     if args.command == "cocycle":
         group = _parse_orders(args.orders)
         if args.subcommand == "list":
             if args.count:
-                count = coh.h3_order(group)
-                _emit(args, count, str(count))
+                _emit(args, coh.h3_order(group))
                 return 0
             params = co.enumerate_params(group)
             _emit(args, [co.params_to_doc(p) for p in params],
@@ -194,7 +196,7 @@ def _run(args) -> int:
             y = _parse_element(group, args.y)
             z = _parse_element(group, args.z)
             v = co.eval_cocycle(params, x, y, z)
-            _emit(args, str(v), str(v))
+            _emit(args, str(v))
             return 0
         params = parse_params_literal(group, args.params)
         table = co.build_table(params, max_cells=args.max_cells)
@@ -233,12 +235,9 @@ def _run(args) -> int:
         return 1
 
     if args.command == "classify":
-        table = _load_table(args.table)
-        if args.orders is not None:
-            if _parse_orders(args.orders) != table.group:
-                raise ValueError("--orders does not match the table file")
+        table = _load_table(args)
         try:
-            params = coh.classify(table, verify_unique=args.check_unique)
+            params = coh.classify(table)
         except LookupError as exc:
             print(f"classify: {exc}", file=sys.stderr)
             return 1
@@ -252,14 +251,9 @@ def _run(args) -> int:
         group = _parse_orders(args.orders)
         params = parse_params_literal(group, args.params)
         if args.count:
-            count = br.braiding_count(params)
-            _emit(args, count, str(count))
+            _emit(args, br.braiding_count(params))
         else:
-            found = br.enumerate_braidings(params)
-            _emit(args, [_matrix_doc(qb) for qb in found],
-                  "\n".join("; ".join(" ".join(str(v) for v in row)
-                                      for row in qb.r) for qb in found)
-                  or "(none)")
+            _emit_braidings(args, br.enumerate_braidings(params))
         return 0
 
     if args.command == "oracle":
@@ -267,30 +261,22 @@ def _run(args) -> int:
         params = parse_params_literal(group, args.params)
         if args.subcommand == "braidings":
             found = br.brute_force_braidings(params, max_candidates=args.max_cells)
-            if args.count:
-                _emit(args, len(found), str(len(found)))
-            else:
-                _emit(args, [_matrix_doc(qb) for qb in found],
-                      "\n".join("; ".join(" ".join(str(v) for v in row)
-                                          for row in qb.r) for qb in found)
-                      or "(none)")
-            return 0
-        found = br.brute_force_full_function_space(
-            params, args.values_order, max_candidates=args.max_cells,
-            prune_identity=not args.no_prune)
+        else:
+            found = br.brute_force_full_function_space(
+                params, args.values_order, max_candidates=args.max_cells,
+                prune_identity=not args.no_prune)
         if args.count:
-            _emit(args, len(found), str(len(found)))
-            return 0
-        docs = []
-        for table in found:
-            entries = [{"x": _exps(x), "y": _exps(y), "r": str(v)}
-                       for (x, y), v in sorted(
-                           table.items(),
-                           key=lambda kv: (kv[0][0].exps, kv[0][1].exps))
-                       if not v.is_one()]
-            docs.append({"entries": entries})
-        plain = "\n".join(json.dumps(d) for d in docs) or "(none)"
-        _emit(args, docs, plain)
+            _emit(args, len(found))
+        elif args.subcommand == "braidings":
+            _emit_braidings(args, found)
+        else:
+            docs = [{"entries": [{"x": _exps(x), "y": _exps(y), "r": str(v)}
+                                 for (x, y), v in sorted(
+                                     table.items(),
+                                     key=lambda kv: (kv[0][0].exps, kv[0][1].exps))
+                                 if not v.is_one()]}
+                    for table in found]
+            _emit(args, docs, "\n".join(json.dumps(d) for d in docs) or "(none)")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import Group, GroupElement
-from .roots import Root
+from .roots import Root, parse_exponent
 
 
 def pair_indices(n):
@@ -391,28 +391,41 @@ def _int_list(value, what):
 
 
 def table_from_doc(doc: dict) -> CocycleTable:
-    """Read a table document; ValueError when its shape is not the table schema."""
+    """Read a table document; ValueError when its shape is not the table schema.
+
+    Exponent vectors are reduced mod the orders; when two entries name the
+    same cell, the later one wins.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
     group = Group(_int_list(doc.get("orders"), '"orders"'))
+    orders = group.orders
     n = group.order
     if n ** 3 > 10 ** 6:
         raise ValueError("a table needs |G|^3 cells; above 10^6 (|G| > 100) is refused")
-    values = [Root.one()] * (n ** 3)
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
+    cells = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"a table entry must be an object, got {entry!r}")
-        x, y, z = (group.element(_int_list(entry.get(k), f'entry "{k}"'))
-                   for k in ("x", "y", "z"))
+        cell = 0
+        for k in ("x", "y", "z"):
+            exps = _int_list(entry.get(k), f'entry "{k}"')
+            if len(exps) != len(orders):
+                raise ValueError(f"expected {len(orders)} exponents, got {len(exps)}")
+            for e, m in zip(exps, orders):
+                cell = cell * m + e % m
         if "w" not in entry:
             raise ValueError(f'a table entry has no "w": {entry!r}')
-        pos = (group.element_index(x) * n + group.element_index(y)) * n \
-            + group.element_index(z)
-        values[pos] = Root.parse(entry["w"])
-    return CocycleTable(group, values)
+        cells[cell] = parse_exponent(entry["w"])
+    L = math.lcm(*{q for _, q in cells.values()})
+    w = np.zeros(n ** 3, dtype=_int_dtype(5 * L))
+    if cells:
+        w[list(cells)] = np.array([p * (L // q) % L for p, q in cells.values()],
+                                  dtype=w.dtype)
+    return CocycleTable._from_exponents(group, L, w.reshape(n, n, n))
 
 
 def table_from_json(text: str) -> CocycleTable:

@@ -23,7 +23,8 @@ import numpy as np
 from .cocycles import (CocycleParams, CocycleTable, _common_denominator, _int_dtype,
                        _representative_nums, pair_indices, triple_indices,
                        verify_normalized, verify_pentagon)
-from .complexes import tensor_to_bar_cells
+from .complexes import (BarGenerator, GroupRingElement, bar_differential, single,
+                        tensor_to_bar_cells)
 from .groups import Group
 from .intlinalg import smith_normal_form, solve_mod1, solve_with_snf
 from .roots import Root, canonical_root
@@ -246,28 +247,22 @@ def _bar_system(orders: tuple):
     """Exponent-linear system for "is this G^3 table a coboundary".
 
     Unknowns: b(x,y) for non-identity x, y.  One row per non-identity
-    triple; rows and columns in lexicographic element order.  Equations at
-    triples with an identity argument are identically zero on both sides for
-    normalized inputs, so they are omitted.
+    triple, read off the augmentation of bar_differential([x|y|z]); rows and
+    columns in lexicographic element order.  Equations at triples with an
+    identity argument are identically zero on both sides for normalized
+    inputs, so they are omitted.
     """
     group = Group(orders)
     nonid = [x for x in group.elements() if not x.is_identity()]
-    col = {(p, q): idx for idx, (p, q) in
-           enumerate(itertools.product(nonid, nonid))}
+    col = {pair: idx for idx, pair in enumerate(itertools.product(nonid, nonid))}
+    one = GroupRingElement.unit(group.identity())
+    triples = list(itertools.product(nonid, repeat=3))
     rows = []
-    triples = []
-    for x, y, z in itertools.product(nonid, repeat=3):
+    for triple in triples:
         row = [0] * len(col)
-        row[col[(y, z)]] += 1
-        xy = x * y
-        if not xy.is_identity():
-            row[col[(xy, z)]] -= 1
-        yz = y * z
-        if not yz.is_identity():
-            row[col[(x, yz)]] += 1
-        row[col[(x, y)]] -= 1
+        for gen, c in bar_differential(single(BarGenerator(triple), one)).terms.items():
+            row[col[gen.elems]] += c.augmentation()
         rows.append(row)
-        triples.append((x, y, z))
     return smith_normal_form(rows), triples, list(col)
 
 
@@ -331,16 +326,15 @@ def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
         for cells in tensor_to_bar_cells(t.group.orders)])
 
 
-def classify(t: CocycleTable, verify_unique: bool = False) -> CocycleParams:
+def classify(t: CocycleTable) -> CocycleParams:
     """The unique parameter choice whose canonical cocycle is cohomologous to t.
 
     t must be a normalized cocycle: normalization and then the pentagon over
     G^4 are checked, and a failure raises LookupError.  t is pulled back
     through psi_3 to a tensor cocycle, and reduce_to_normal_form reads its
-    class off in closed form.  Uniqueness holds by construction: the normal
-    form is a function of the class, and distinct canonical classes are
-    never cohomologous (acceptance criterion 4), so verify_unique changes
-    nothing and is kept for callers that ask for the check.
+    class off in closed form.  The answer is unique by construction: the
+    normal form is a function of the class, and distinct canonical classes
+    are never cohomologous (acceptance criterion 4).
     """
     witness = verify_normalized(t)
     if witness is not None:

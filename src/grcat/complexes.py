@@ -3,18 +3,19 @@
 Two resolutions of the trivial module live here: the normalized bar complex,
 whose degree-m generators are m-tuples of non-identity group elements, and
 the Koszul-like tensor complex built from one periodic strand per cyclic
-factor.  The degree 1..3 comparison maps from the bar side to the tensor
+factor.  The degree 0..3 comparison maps from the bar side to the tensor
 side turn small-complex cochains into explicit functions on G^3; the maps
 back, built with the bar complex's contracting homotopy, turn functions on
-G^3 into small-complex cochains.  Both come with a machine check that they
-commute with the differentials.
+G^3 into small-complex cochains.  Both maps are extended linearly by one
+helper (_extend), and one square check (_first_failures) certifies that
+each commutes with the differentials.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cocycles import (CocycleTable, _common_denominator, _phi3_exponents,
                        pair_indices, triple_indices)
@@ -27,17 +28,16 @@ class GroupRingElement:
     __slots__ = ("group", "terms")
 
     def __init__(self, group: Group, terms=None):
+        """Sum the (element, coefficient) pairs of terms, a dict or an iterable."""
         self.group = group
         pruned = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for g, c in items:
-                if c:
-                    acc = pruned.get(g, 0) + c
-                    if acc:
-                        pruned[g] = acc
-                    elif g in pruned:
-                        del pruned[g]
+            for g, c in (terms.items() if isinstance(terms, dict) else terms):
+                acc = pruned.get(g, 0) + c
+                if acc:
+                    pruned[g] = acc
+                else:
+                    pruned.pop(g, None)
         self.terms = pruned
 
     @staticmethod
@@ -49,6 +49,7 @@ class GroupRingElement:
         return GroupRingElement(g.group, {g: c})
 
     def __add__(self, other):
+        # the constructor's rule, inlined: sums are the hot path of the checks
         merged = dict(self.terms)
         for g, c in other.terms.items():
             acc = merged.get(g, 0) + c
@@ -61,37 +62,26 @@ class GroupRingElement:
         return out
 
     def __neg__(self):
-        out = GroupRingElement(self.group)
-        out.terms = {g: -c for g, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        # scaling by a nonzero int or translating by an element merges no terms
+        out = GroupRingElement(self.group)
         if isinstance(other, int):
-            out = GroupRingElement(self.group)
             if other:
                 out.terms = {g: c * other for g, c in self.terms.items()}
-            return out
-        if isinstance(other, GroupElement):
-            out = GroupRingElement(self.group)
+        elif isinstance(other, GroupElement):
             out.terms = {g * other: c for g, c in self.terms.items()}
-            return out
-        if isinstance(other, GroupRingElement):
-            acc = {}
-            for g1, c1 in self.terms.items():
-                for g2, c2 in other.terms.items():
-                    g = g1 * g2
-                    s = acc.get(g, 0) + c1 * c2
-                    if s:
-                        acc[g] = s
-                    elif g in acc:
-                        del acc[g]
-            out = GroupRingElement(self.group)
-            out.terms = acc
-            return out
-        return NotImplemented
+        elif isinstance(other, GroupRingElement):
+            return GroupRingElement(self.group, (
+                (g1 * g2, c1 * c2)
+                for g1, c1 in self.terms.items() for g2, c2 in other.terms.items()))
+        else:
+            return NotImplemented
+        return out
 
     __rmul__ = __mul__
 
@@ -199,17 +189,13 @@ class ChainVector:
 
     def __add__(self, other):
         out = ChainVector(self.group)
-        out.terms = dict(self.terms)
-        for gen, c in other.terms.items():
-            out.add_term(gen, c)
+        for v in (self, other):
+            for gen, c in v.terms.items():
+                out.add_term(gen, c)
         return out
 
     def __sub__(self, other):
-        out = ChainVector(self.group)
-        out.terms = dict(self.terms)
-        for gen, c in other.terms.items():
-            out.add_term(gen, -c)
-        return out
+        return self + other.scaled(-1)
 
     def scaled(self, coeff):
         out = ChainVector(self.group)
@@ -342,68 +328,61 @@ def _f3(group, gen):
 
 
 def chain_map(group: Group, gen: BarGenerator) -> ChainVector:
-    """Image of a normalized bar generator in the tensor complex, degree 1..3."""
-    if gen.degree == 1:
-        return _f1(group, gen)
-    if gen.degree == 2:
-        return _f2(group, gen)
-    if gen.degree == 3:
-        return _f3(group, gen)
-    raise ValueError(f"comparison map defined in degrees 1..3, got {gen.degree}")
+    """Image of a normalized bar generator in the tensor complex, degree 0..3.
+
+    phi_0 sends [] to Phi(0, .., 0); degrees 1..3 are _f1, _f2, _f3.
+    """
+    if gen.degree == 0:
+        return single(TensorGenerator((0,) * group.rank),
+                      GroupRingElement.unit(group.identity()))
+    if gen.degree > 3:
+        raise ValueError(f"comparison map defined in degrees 0..3, got {gen.degree}")
+    return (_f1, _f2, _f3)[gen.degree - 1](group, gen)
 
 
-def apply_chain_map(group, bar_vector: ChainVector) -> ChainVector:
-    """Extend the comparison map linearly over group ring coefficients."""
-    out = ChainVector(group)
-    for gen, c in bar_vector.terms.items():
-        image = chain_map(group, gen)
-        for tgen, tc in image.terms.items():
+def _extend(image, v: ChainVector) -> ChainVector:
+    """Extend a map given on generators (image) linearly over group ring coefficients."""
+    out = ChainVector(v.group)
+    for gen, c in v.terms.items():
+        for tgen, tc in image(gen).terms.items():
             out.add_term(tgen, c * tc)
     return out
 
 
-def _nonidentity(group):
-    return [x for x in group.elements() if not x.is_identity()]
+def apply_chain_map(group, bar_vector: ChainVector) -> ChainVector:
+    """Extend the comparison map linearly over group ring coefficients."""
+    return _extend(lambda gen: chain_map(group, gen), bar_vector)
+
+
+def _first_failures(group, generators, image, d_source, d_target):
+    """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
+
+    generators(deg) lists the source generators of one degree in
+    lexicographic order.  Each image below degree 3 is computed once and
+    kept, so the right-hand side reads the images of the degree below from
+    that store; no square reads a degree-3 image, so those are not kept.
+    Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
+    first generator where the square fails.
+    """
+    one = GroupRingElement.unit(group.identity())
+    stored = functools.cache(image)
+
+    def fails(gen):
+        top = stored(gen) if gen.degree < 3 else image(gen)
+        return d_target(top) != _extend(stored, d_source(single(gen, one)))
+    return {deg: next(filter(fails, generators(deg)), None) for deg in (1, 2, 3)}
 
 
 def verify_chain_map(group: Group):
-    """Check commutation with the differentials degree by degree.
+    """Check that phi commutes with the differentials, degree by degree.
 
     Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
     first bar generator (lexicographic) where the square fails.
     """
-    n = group.rank
-    nonid = _nonidentity(group)
-    results = {}
-
-    phi0 = TensorGenerator((0,) * n)
-    one = GroupRingElement.unit(group.identity())
-    fail = None
-    for x in nonid:
-        gen = BarGenerator((x,))
-        lhs = tensor_differential(apply_chain_map(group, single(gen, one)))
-        # the degree-0 map sends [] to Phi(0,..,0) with the same coefficient
-        boundary = bar_differential(single(gen, one))
-        rhs = ChainVector(group)
-        for bgen, c in boundary.terms.items():
-            assert bgen.degree == 0
-            rhs.add_term(phi0, c)
-        if lhs != rhs:
-            fail = gen
-            break
-    results[1] = fail
-
-    for deg in (2, 3):
-        fail = None
-        for combo in itertools.product(nonid, repeat=deg):
-            gen = BarGenerator(combo)
-            lhs = tensor_differential(apply_chain_map(group, single(gen, one)))
-            rhs = apply_chain_map(group, bar_differential(single(gen, one)))
-            if lhs != rhs:
-                fail = gen
-                break
-        results[deg] = fail
-    return results
+    nonid = [x for x in group.elements() if not x.is_identity()]
+    return _first_failures(
+        group, lambda deg: map(BarGenerator, itertools.product(nonid, repeat=deg)),
+        lambda gen: chain_map(group, gen), bar_differential, tensor_differential)
 
 
 def contract(v: ChainVector) -> ChainVector:
@@ -438,11 +417,7 @@ def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
 
 def apply_tensor_to_bar(group, tensor_vector: ChainVector) -> ChainVector:
     """Extend tensor_to_bar linearly over group ring coefficients."""
-    out = ChainVector(group)
-    for gen, c in tensor_vector.terms.items():
-        for bgen, bc in tensor_to_bar(group, gen).terms.items():
-            out.add_term(bgen, c * bc)
-    return out
+    return _extend(lambda gen: tensor_to_bar(group, gen), tensor_vector)
 
 
 def verify_tensor_to_bar(group: Group):
@@ -452,25 +427,15 @@ def verify_tensor_to_bar(group: Group):
     first tensor generator (lexicographic in its index) where the square
     fails.
     """
-    n = group.rank
-    one = GroupRingElement.unit(group.identity())
-    results = {}
-    for deg in (1, 2, 3):
-        fail = None
-        for index in itertools.product(range(deg + 1), repeat=n):
-            if sum(index) != deg:
-                continue
-            gen = TensorGenerator(index)
-            lhs = bar_differential(tensor_to_bar(group, gen))
-            rhs = apply_tensor_to_bar(group, tensor_differential(single(gen, one)))
-            if lhs != rhs:
-                fail = gen
-                break
-        results[deg] = fail
-    return results
+    def generators(deg):
+        return (TensorGenerator(index)
+                for index in itertools.product(range(deg + 1), repeat=group.rank)
+                if sum(index) == deg)
+    return _first_failures(group, generators, lambda gen: tensor_to_bar(group, gen),
+                           tensor_differential, bar_differential)
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def tensor_to_bar_cells(orders: tuple):
     """psi_3 of the degree-3 tensor generators, as integer lists per group shape.
 

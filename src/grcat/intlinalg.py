@@ -1,12 +1,15 @@
 """Exact integer linear algebra: Smith normal form and linear systems over Q/Z.
 
 Matrices are plain lists of lists of Python ints, so every pivot is computed
-in arbitrary precision.  The sizes here stay at desk scale (a few hundred
-rows), which is all the coboundary systems ever need.
+in arbitrary precision.  The largest system in use is the bar coboundary
+system of a group of order 12 (1331 x 121 on Z_4 x Z_3); its unimodular
+transforms are sparse, and matmul, the one product here, skips zero entries
+of its left factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,22 +21,20 @@ def _identity(k):
 
 
 def matmul(a, b):
-    """Exact product of two integer (or fraction) matrices."""
-    rows_a = len(a)
-    cols_a = len(a[0]) if rows_a else 0
-    cols_b = len(b[0]) if b else 0
+    """Exact product of two matrices (lists of rows) of ints or Fractions.
+
+    Row i of the product is the sum of the rows of b weighted by the nonzero
+    entries of row i of a, so the cost grows with the nonzeros of a.
+    """
+    cols_a = len(a[0]) if a else 0
     assert cols_a == len(b)
+    cols_b = len(b[0]) if b else 0
     out = []
-    for i in range(rows_a):
-        ai = a[i]
-        row = []
-        for j in range(cols_b):
-            s = 0
-            for k in range(cols_a):
-                aik = ai[k]
-                if aik:
-                    s += aik * b[k][j]
-            row.append(s)
+    for ai in a:
+        row = [0] * cols_b
+        for aik, bk in zip(ai, b):
+            if aik:
+                row = [r + aik * x for r, x in zip(row, bk)]
         out.append(row)
     return out
 
@@ -52,13 +53,20 @@ class SmithDecomposition:
         cols = len(self.d[0]) if rows else 0
         return [self.d[i][i] for i in range(min(rows, cols))]
 
+    @property
+    def zero_rows(self):
+        """Indices of the zero rows of d: past the diagonal, or a zero entry on it."""
+        diag = self.diagonal
+        return [i for i in range(len(self.d)) if i >= len(diag) or not diag[i]]
 
-def smith_normal_form(mat, check=True):
+
+def smith_normal_form(mat):
     """Compute the Smith normal form of an integer matrix.
+
+    u*mat*v is re-multiplied and compared against d before returning.
 
     Args:
         mat: list of equal-length rows of ints (may be empty).
-        check: re-multiply u*mat*v and compare against d before returning.
 
     Returns:
         SmithDecomposition with non-negative diagonal entries forming a
@@ -73,33 +81,26 @@ def smith_normal_form(mat, check=True):
     u = _identity(m)
     v = _identity(n)
 
+    # each row operation acts on d and u, each column operation on d and v
     def swap_rows(r1, r2):
-        d[r1], d[r2] = d[r2], d[r1]
-        u[r1], u[r2] = u[r2], u[r1]
+        for t in (d, u):
+            t[r1], t[r2] = t[r2], t[r1]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            if srow[j]:
-                drow[j] += c * srow[j]
-        urow_d, urow_s = u[dst], u[src]
-        for j in range(m):
-            if urow_s[j]:
-                urow_d[j] += c * urow_s[j]
+        for t in (d, u):
+            drow, srow = t[dst], t[src]
+            for j in range(len(srow)):
+                if srow[j]:
+                    drow[j] += c * srow[j]
 
     def swap_cols(c1, c2):
-        for row in d:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in v:
+        for row in d + v:
             row[c1], row[c2] = row[c2], row[c1]
 
     def add_col(dst, src, c):
         # col_dst += c * col_src
-        for row in d:
-            if row[src]:
-                row[dst] += c * row[src]
-        for row in v:
+        for row in d + v:
             if row[src]:
                 row[dst] += c * row[src]
 
@@ -155,29 +156,26 @@ def smith_normal_form(mat, check=True):
                 break
             add_row(k, stray, 1)
 
-        if k < min(m, n) and d[k][k] < 0:
-            for j in range(n):
-                d[k][j] = -d[k][j]
-            for j in range(m):
-                u[k][j] = -u[k][j]
+        if d[k][k] < 0:
+            for t in (d, u):
+                t[k] = [-e for e in t[k]]
 
-    if check:
-        if matmul(matmul(u, mat if m else []), v) != d:
-            raise AssertionError("smith normal form verification failed")
+    if matmul(matmul(u, mat), v) != d:
+        raise AssertionError("smith normal form verification failed")
     return SmithDecomposition(u, d, v)
 
 
 def left_kernel(mat):
     """Basis (as rows) of {x : x * mat = 0}, read off the zero rows of the SNF."""
     snf = smith_normal_form(mat)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = []
-    for i in range(m):
-        di = snf.d[i][i] if i < n else 0
-        if di == 0:
-            rows.append(list(snf.u[i]))
-    return rows
+    return [list(snf.u[i]) for i in snf.zero_rows]
+
+
+def _apply(mat, roots):
+    """mat times a column of roots, as integer numerators over one denominator."""
+    L = math.lcm(*(r.exponent.denominator for r in roots))
+    column = [[r.exponent.numerator * (L // r.exponent.denominator)] for r in roots]
+    return [Root(Fraction(row[0], L)) for row in matmul(mat, column)]
 
 
 def solve_with_snf(snf, v):
@@ -190,35 +188,12 @@ def solve_with_snf(snf, v):
     n = len(snf.v)
     if len(v) != m:
         raise ValueError(f"expected {m} right-hand entries, got {len(v)}")
-    w = []
-    for i in range(m):
-        s = Fraction(0)
-        ui = snf.u[i]
-        for j in range(m):
-            if ui[j]:
-                s += ui[j] * v[j].exponent
-        w.append(Root(s))
-    y = []
-    for i in range(n):
-        di = snf.d[i][i] if i < m else 0
-        if di:
-            y.append(canonical_root(w[i], di))
-        else:
-            if i < m and not w[i].is_one():
-                return None
-            y.append(Root.one())
-    for i in range(n, m):
-        if not w[i].is_one():
-            return None
-    x = []
-    for i in range(n):
-        s = Fraction(0)
-        vi = snf.v[i]
-        for j in range(n):
-            if vi[j]:
-                s += vi[j] * y[j].exponent
-        x.append(Root(s))
-    return x
+    w = _apply(snf.u, v)
+    if any(not w[i].is_one() for i in snf.zero_rows):
+        return None
+    diag = snf.diagonal
+    y = [canonical_root(w[i], di) if di else Root.one() for i, di in enumerate(diag)]
+    return _apply(snf.v, y + [Root.one()] * (n - len(diag)))
 
 
 def solve_mod1(mat, v):

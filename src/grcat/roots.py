@@ -38,17 +38,7 @@ class Root:
     @staticmethod
     def parse(text: str) -> "Root":
         """Read "p/q" or "p"; ValueError on any other text or on q = 0."""
-        if not isinstance(text, str):
-            raise ValueError(f'root must be a string "p/q", got {text!r}')
-        num, slash, den = text.partition("/")
-        try:
-            p, q = int(num), int(den) if slash else 1
-        except ValueError:
-            raise ValueError(f'root must be "p/q" with integers p and q, '
-                             f'got {text!r}') from None
-        if q == 0:
-            raise ValueError(f"root {text!r} has a zero denominator")
-        return Root(Fraction(p, q))
+        return Root(Fraction(*parse_exponent(text)))
 
     @property
     def order(self) -> int:
@@ -82,3 +72,18 @@ def canonical_root(a: Root, k: int) -> Root:
     if k <= 0:
         raise ValueError("root index must be positive")
     return Root(Fraction(a.exponent.numerator, a.exponent.denominator * k))
+
+
+def parse_exponent(text: str) -> tuple[int, int]:
+    """(p, q) with q > 0 from "p/q" or "p"; ValueError on any other text or on q = 0."""
+    if not isinstance(text, str):
+        raise ValueError(f'root must be a string "p/q", got {text!r}')
+    num, slash, den = text.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f'root must be "p/q" with integers p and q, '
+                         f'got {text!r}') from None
+    if q == 0:
+        raise ValueError(f"root {text!r} has a zero denominator")
+    return (-p, -q) if q < 0 else (p, q)

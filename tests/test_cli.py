@@ -90,7 +90,7 @@ def test_table_classify_round_trip(capsys, tmp_path):
         assert code == 0
         assert json.loads(out) == params_to_doc(a)
 
-    # uniqueness scan adds the flag to the JSON document
+    # --check-unique adds the flag to the JSON document
     a = CocycleParams(group, (1, 1), (1,), ())
     path = tmp_path / "one.json"
     path.write_text(table_to_json(build_table(a)))

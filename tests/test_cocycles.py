@@ -269,6 +269,23 @@ def test_table_json_round_trip():
     assert empty == build_table(zero_params(group))
 
 
+def test_table_from_doc_later_entry_wins():
+    # [3], [7] and [-1] all name the same element of Z_4; the last "w" counts,
+    # whatever denominator earlier entries brought in
+    def doc(*cells):
+        return {"orders": [4], "entries": [
+            {"x": [x], "y": [1], "z": [3], "w": w} for x, w in cells]}
+    table = table_from_doc(doc((3, "1/3"), (7, "2/4"), (-1, "1/-2")))
+    assert table.value(*(Group((4,)).element([e]) for e in (3, 1, 3))) == Root.of(1, 2)
+    assert table.exponents()[0] == 2
+    assert table == CocycleTable(Group((4,)), [
+        Root.of(1, 2) if cell == (3 * 4 + 1) * 4 + 3 else Root.one() for cell in range(64)])
+    # a later "0" clears the cell, and the denominator goes with it
+    cleared = table_from_doc(doc((1, "1/3"), (1, "0/5")))
+    assert cleared == table_from_doc({"orders": [4], "entries": []})
+    assert cleared.exponents()[0] == 1
+
+
 def test_table_pointwise_operations():
     group = Group((2, 2))
     a = build_table(CocycleParams(group, (1, 0), (0,), ()))

@@ -265,7 +265,7 @@ def test_classify_trivial_table_and_uniqueness():
     zero = CocycleParams(group, (0, 0), (0,), ())
     assert classify(build_table(zero)) == zero
     a = CocycleParams(group, (1, 1), (1,), ())
-    assert classify(build_table(a), verify_unique=True) == a
+    assert classify(build_table(a)) == a
 
 
 def test_classify_rejects_non_cocycle():

@@ -160,6 +160,12 @@ def test_chain_map_frozen_values():
     f2 = chain_map(z4, bar_generator([h ** 2, h ** 3]))
     assert f2.terms == {phi((2,)): unit(z4)}
 
+    # degree 0: [] goes to Phi(0, .., 0); nothing is defined above degree 3
+    z42 = Group((4, 2))
+    assert chain_map(z42, BarGenerator(())).terms == {phi((0, 0)): unit(z42)}
+    with pytest.raises(ValueError):
+        chain_map(z2, bar_generator([g] * 4))
+
 
 def test_chain_map_linear_extension():
     group = Group((4,))
@@ -183,6 +189,21 @@ def test_chain_map_commutes_order_sixteen_spots():
     for orders in ((16,), (4, 4), (2, 8), (4, 2, 2)):
         failures = verify_chain_map(Group(orders))
         assert failures == {1: None, 2: None, 3: None}, orders
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("_f1", {1: ((0, 1),), 2: ((0, 1), (0, 1)), 3: None}),
+    ("_f2", {1: None, 2: ((0, 1), (0, 1)), 3: ((0, 1), (0, 1), (0, 1))}),
+])
+def test_chain_map_check_reports_first_failure(monkeypatch, name, expected):
+    # with one degree of phi replaced by zero, the squares that read it fail,
+    # first at the lexicographically least generator
+    group = Group((2, 2))
+    monkeypatch.setattr(complexes, name, lambda group, gen: ChainVector(group))
+    failures = verify_chain_map(group)
+    assert failures == {deg: None if exps is None else
+                        BarGenerator(tuple(map(group.element, exps)))
+                        for deg, exps in expected.items()}
 
 
 def test_pullback_reproduces_canonical_tables():
