@@ -17,6 +17,7 @@ of triples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import Group, GroupElement
-from .roots import Root, parse_exponent
+from .roots import Root, _common_denominator, parse_exponent
 
 
 def pair_indices(n):
@@ -50,27 +51,18 @@ class CocycleParams:
         object.__setattr__(self, "diag", tuple(self.diag))
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "triples", tuple(self.triples))
-        orders = self.group.orders
         n = self.group.rank
-        if len(self.diag) != n:
-            raise ValueError(f"need {n} diagonal exponents, got {len(self.diag)}")
-        for l, a in enumerate(self.diag):
-            if not 0 <= a < orders[l]:
-                raise ValueError(f"diagonal exponent {a} out of range for factor {l}")
-        pi = pair_indices(n)
-        if len(self.pairs) != len(pi):
-            raise ValueError(f"need {len(pi)} pair exponents, got {len(self.pairs)}")
-        for (s, t), a in zip(pi, self.pairs):
-            d = math.gcd(orders[s], orders[t])
-            if not 0 <= a < d:
-                raise ValueError(f"pair exponent {a} out of range for factors {(s, t)}")
-        ti = triple_indices(n)
-        if len(self.triples) != len(ti):
-            raise ValueError(f"need {len(ti)} triple exponents, got {len(self.triples)}")
-        for (r, s, t), a in zip(ti, self.triples):
-            d = math.gcd(math.gcd(orders[r], orders[s]), orders[t])
-            if not 0 <= a < d:
-                raise ValueError(f"triple exponent {a} out of range for factors {(r, s, t)}")
+        # one iterator over the moduli, consumed block by block
+        moduli = iter(slot_moduli(self.group.orders))
+        for name, noun, values, slots in (
+                ("diagonal", "factor", self.diag, range(n)),
+                ("pair", "factors", self.pairs, pair_indices(n)),
+                ("triple", "factors", self.triples, triple_indices(n))):
+            if len(values) != len(slots):
+                raise ValueError(f"need {len(slots)} {name} exponents, got {len(values)}")
+            for slot, a, d in zip(slots, values, moduli):
+                if not 0 <= a < d:
+                    raise ValueError(f"{name} exponent {a} out of range for {noun} {slot}")
 
     def pair_value(self, s, t):
         return self.pairs[pair_indices(self.group.rank).index((s, t))]
@@ -79,21 +71,22 @@ class CocycleParams:
         return self.triples[triple_indices(self.group.rank).index((r, s, t))]
 
 
+@functools.lru_cache(maxsize=256)
+def slot_moduli(orders: tuple) -> tuple:
+    """The modulus of each parameter slot: m_l per factor, gcd(m_s, m_t) per
+    pair s < t and gcd(m_r, m_s, m_t) per triple r < s < t, in slot order."""
+    n = len(orders)
+    return (orders + tuple(math.gcd(orders[s], orders[t]) for s, t in pair_indices(n))
+            + tuple(math.gcd(orders[r], orders[s], orders[t])
+                    for r, s, t in triple_indices(n)))
+
+
 def enumerate_params(group: Group):
     """All parameter choices for the group, lexicographic in (diag, pairs, triples)."""
-    orders = group.orders
     n = group.rank
-    diag_ranges = [range(m) for m in orders]
-    pair_ranges = [range(math.gcd(orders[s], orders[t])) for s, t in pair_indices(n)]
-    triple_ranges = [range(math.gcd(math.gcd(orders[r], orders[s]), orders[t]))
-                     for r, s, t in triple_indices(n)]
-    out = []
-    for combo in itertools.product(*diag_ranges, *pair_ranges, *triple_ranges):
-        diag = combo[:n]
-        pairs = combo[n:n + len(pair_ranges)]
-        triples = combo[n + len(pair_ranges):]
-        out.append(CocycleParams(group, diag, pairs, triples))
-    return out
+    p = len(pair_indices(n))
+    return [CocycleParams(group, combo[:n], combo[n:n + p], combo[n + p:])
+            for combo in itertools.product(*map(range, slot_moduli(group.orders)))]
 
 
 def _representative_nums(params: CocycleParams):
@@ -106,19 +99,12 @@ def _representative_nums(params: CocycleParams):
     orders = params.group.orders
     n = params.group.rank
     pairs = pair_indices(n)
-    dens = (list(orders) + [orders[t] for _, t in pairs] + [1] * len(pairs)
-            + [math.gcd(orders[r], orders[s], orders[t])
-               for r, s, t in triple_indices(n)])
+    moduli = slot_moduli(orders)
+    dens = (moduli[:n] + tuple(orders[t] for _, t in pairs) + (1,) * len(pairs)
+            + moduli[n + len(pairs):])
     L = math.lcm(*dens)
     exps = params.diag + params.pairs + (0,) * len(pairs) + params.triples
     return L, [a * (L // d) for a, d in zip(exps, dens)]
-
-
-def _common_denominator(fracs):
-    """(L, nums): the fractions as integer numerators over their least common
-    denominator L."""
-    L = math.lcm(*(f.denominator for f in fracs))
-    return L, [f.numerator * (L // f.denominator) for f in fracs]
 
 
 def _phi3(orders, nums, i, j, k):

@@ -20,14 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycles import (CocycleParams, CocycleTable, _common_denominator, _int_dtype,
-                       _representative_nums, pair_indices, triple_indices,
-                       verify_normalized, verify_pentagon)
+from .cocycles import (CocycleParams, CocycleTable, _int_dtype, _representative_nums,
+                       pair_indices, slot_moduli, triple_indices, verify_normalized,
+                       verify_pentagon)
 from .complexes import (BarGenerator, GroupRingElement, bar_differential, single,
                         tensor_to_bar_cells)
 from .groups import Group
-from .intlinalg import smith_normal_form, solve_mod1, solve_with_snf
-from .roots import Root, canonical_root
+from .intlinalg import smith_normal_form, solve_exponents, solve_mod1
+from .roots import Root, _common_denominator, canonical_root
 
 
 @dataclass(frozen=True)
@@ -178,14 +178,7 @@ def is_tensor_coboundary(f: TensorCochain3):
 
 def h3_order(group: Group) -> int:
     """Size of the degree-3 cohomology group, as a product of gcds."""
-    orders = group.orders
-    n = group.rank
-    total = math.prod(orders)
-    for i, j in pair_indices(n):
-        total *= math.gcd(orders[i], orders[j])
-    for r, s, t in triple_indices(n):
-        total *= math.gcd(math.gcd(orders[r], orders[s]), orders[t])
-    return total
+    return math.prod(slot_moduli(group.orders))
 
 
 def _cochain_from_slots(group: Group, values) -> TensorCochain3:
@@ -217,26 +210,23 @@ def reduce_to_normal_form(f: TensorCochain3):
     orders = group.orders
     n = group.rank
 
-    diag = tuple(int(f.diag[l].exponent * orders[l]) for l in range(n))
+    moduli = slot_moduli(orders)
+    diag = tuple(int(v.exponent * m) for v, m in zip(f.diag, moduli))
 
     pairs = []
     witness = []
-    for k, (i, j) in enumerate(pair_indices(n)):
+    for k, ((i, j), d) in enumerate(zip(pair_indices(n), moduli[n:])):
         mi, mj = orders[i], orders[j]
         g0 = canonical_root(f.ijj[k].inv(), mj)
         v = f.iij[k] * g0 ** (-mi)
         # closure forces v^(m_j) = 1
         c = int(v.exponent * mj)
-        d = math.gcd(mi, mj)
         a_ij = c % d
         e = (pow(mi // d, -1, mj // d) * ((c - a_ij) // d)) % (mj // d)
         pairs.append(a_ij)
         witness.append(g0 * Root.of(e, mj))
 
-    triples = []
-    for k, (r, s, t) in enumerate(triple_indices(n)):
-        d = math.gcd(math.gcd(orders[r], orders[s]), orders[t])
-        triples.append(int(f.rst[k].exponent * d) % d)
+    triples = [int(v.exponent * d) % d for v, d in zip(f.rst, moduli[n + len(pairs):])]
 
     return (CocycleParams(group, diag, tuple(pairs), tuple(triples)),
             CoboundaryWitness2(group, tuple(witness)))
@@ -244,11 +234,13 @@ def reduce_to_normal_form(f: TensorCochain3):
 
 @lru_cache(maxsize=32)
 def _bar_system(orders: tuple):
-    """Exponent-linear system for "is this G^3 table a coboundary".
+    """(Smith decomposition, column pairs) of the system "is this G^3 table a
+    coboundary".
 
-    Unknowns: b(x,y) for non-identity x, y.  One row per non-identity
-    triple, read off the augmentation of bar_differential([x|y|z]); rows and
-    columns in lexicographic element order.  Equations at triples with an
+    Unknowns: b(x,y) for non-identity x, y, one column per pair.  One row per
+    non-identity triple, read off the augmentation of bar_differential([x|y|z]).
+    Rows and columns run in lexicographic element order, so the rows follow
+    the cells of w[1:, 1:, 1:] in C order.  Equations at triples with an
     identity argument are identically zero on both sides for normalized
     inputs, so they are omitted.
     """
@@ -256,14 +248,13 @@ def _bar_system(orders: tuple):
     nonid = [x for x in group.elements() if not x.is_identity()]
     col = {pair: idx for idx, pair in enumerate(itertools.product(nonid, nonid))}
     one = GroupRingElement.unit(group.identity())
-    triples = list(itertools.product(nonid, repeat=3))
     rows = []
-    for triple in triples:
+    for triple in itertools.product(nonid, repeat=3):
         row = [0] * len(col)
         for gen, c in bar_differential(single(BarGenerator(triple), one)).terms.items():
             row[col[gen.elems]] += c.augmentation()
         rows.append(row)
-    return smith_normal_form(rows), triples, list(col)
+    return smith_normal_form(rows), list(col)
 
 
 def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
@@ -295,18 +286,19 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
     if group.order > max_group_order:
         raise ValueError(
             f"group order {group.order} above the {max_group_order} bound")
-    snf, triples, cols = _bar_system(group.orders)
-    rhs = [t.value(x, y, z) for x, y, z in triples]
-    sol = solve_with_snf(snf, rhs)
+    snf, cols = _bar_system(group.orders)
+    L, w = t.exponents()
+    sol = solve_exponents(snf, L, w[1:, 1:, 1:].reshape(-1).tolist())
     if sol is None:
         return None
+    den, nums = sol
     witness = {}
     for x in group.elements():
         for y in group.elements():
             if x.is_identity() or y.is_identity():
                 witness[(x, y)] = Root.one()
-    for (p, q), v in zip(cols, sol):
-        witness[(p, q)] = v
+    for pair, k in zip(cols, nums):
+        witness[pair] = Root(Fraction(k, den))
     if bar_coboundary_table(group, witness) != t:
         raise ValueError("table is not a normalized cocycle")
     return witness

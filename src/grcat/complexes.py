@@ -17,9 +17,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .cocycles import (CocycleTable, _common_denominator, _phi3_exponents,
-                       pair_indices, triple_indices)
+from .cocycles import CocycleTable, _phi3_exponents, pair_indices, triple_indices
 from .groups import Group, GroupElement
+from .roots import _common_denominator
 
 
 class GroupRingElement:

@@ -1,10 +1,12 @@
 """Exact integer linear algebra: Smith normal form and linear systems over Q/Z.
 
-Matrices are plain lists of lists of Python ints, so every pivot is computed
-in arbitrary precision.  The largest system in use is the bar coboundary
-system of a group of order 12 (1331 x 121 on Z_4 x Z_3); its unimodular
-transforms are sparse, and matmul, the one product here, skips zero entries
-of its left factor.
+Matrices come in as lists of rows of Python ints, so every pivot is exact.
+The elimination holds each row of d, u and v as a sparse dict {column:
+nonzero entry}: the largest system, the bar coboundary system of Z_4 x Z_3,
+is 1331 x 121 with at most four nonzeros per row, and its u stays 1.4%
+nonzero.  The decomposition keeps d as its diagonal; the dense u, d, v are
+views, and matmul is the dense product.  solve_exponents solves over Q/Z on
+integer numerators; Root appears only in its wrappers.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .roots import Root, canonical_root
-
-
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+from .roots import Root, _common_denominator
 
 
 def matmul(a, b):
@@ -39,31 +38,69 @@ def matmul(a, b):
     return out
 
 
+def _addmul(dst, src, c):
+    """dst += c * src on sparse rows {column: nonzero entry}; c is nonzero."""
+    for j, e in src.items():
+        x = dst.get(j, 0) + c * e
+        if x:
+            dst[j] = x
+        else:
+            del dst[j]
+
+
+def _product(a, b):
+    """a * b for matrices held as lists of sparse rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for j, e in row.items():
+            _addmul(acc, b[j], e)
+        out.append(acc)
+    return out
+
+
+def _dense(rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
 @dataclass
 class SmithDecomposition:
-    """u * m * v = d with u, v unimodular and d diagonal, d_1 | d_2 | ..."""
+    """u * m * v = d with u, v unimodular and d diagonal, d_1 | d_2 | ...
 
-    u: list
-    d: list
-    v: list
+    u_rows and v_rows are the rows of u and v as sparse dicts {column:
+    nonzero entry}; diagonal holds the min(rows, cols) diagonal entries of
+    d.  The dense u, d and v (lists of rows) are built on first use.
+    """
 
-    @property
-    def diagonal(self):
-        rows = len(self.d)
-        cols = len(self.d[0]) if rows else 0
-        return [self.d[i][i] for i in range(min(rows, cols))]
+    u_rows: list
+    v_rows: list
+    diagonal: list
+
+    @cached_property
+    def u(self):
+        return _dense(self.u_rows, len(self.u_rows))
+
+    @cached_property
+    def v(self):
+        return _dense(self.v_rows, len(self.v_rows))
+
+    @cached_property
+    def d(self):
+        return [[self.diagonal[i] if i == j else 0 for j in range(len(self.v_rows))]
+                for i in range(len(self.u_rows))]
 
     @property
     def zero_rows(self):
         """Indices of the zero rows of d: past the diagonal, or a zero entry on it."""
         diag = self.diagonal
-        return [i for i in range(len(self.d)) if i >= len(diag) or not diag[i]]
+        return [i for i in range(len(self.u_rows)) if i >= len(diag) or not diag[i]]
 
 
 def smith_normal_form(mat):
     """Compute the Smith normal form of an integer matrix.
 
-    u*mat*v is re-multiplied and compared against d before returning.
+    u*mat*v is re-multiplied on the sparse rows, as u*(mat*v), and compared
+    against the diagonal before returning.
 
     Args:
         mat: list of equal-length rows of ints (may be empty).
@@ -74,126 +111,101 @@ def smith_normal_form(mat):
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    d = [list(row) for row in mat]
-    for row in d:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    u = _identity(m)
-    v = _identity(n)
-
-    # each row operation acts on d and u, each column operation on d and v
-    def swap_rows(r1, r2):
-        for t in (d, u):
-            t[r1], t[r2] = t[r2], t[r1]
+    if any(len(row) != n for row in mat):
+        raise ValueError("ragged matrix")
+    sparse = [{j: e for j, e in enumerate(row) if e} for row in mat]
+    d = [dict(row) for row in sparse]
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src
         for t in (d, u):
-            drow, srow = t[dst], t[src]
-            for j in range(len(srow)):
-                if srow[j]:
-                    drow[j] += c * srow[j]
+            _addmul(t[dst], t[src], c)
 
-    def swap_cols(c1, c2):
-        for row in d + v:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    def add_col(dst, src, c):
-        # col_dst += c * col_src
-        for row in d + v:
-            if row[src]:
-                row[dst] += c * row[src]
-
+    # rows k.. of d have no entries left of column k: they are the trailing block
     for k in range(min(m, n)):
         while True:
-            # smallest nonzero entry of the trailing submatrix becomes the pivot
-            best = None
-            for i in range(k, m):
-                row = d[i]
-                for j in range(k, n):
-                    e = row[j]
-                    if e and (best is None or abs(e) < best[0]):
-                        best = (abs(e), i, j)
+            # the smallest nonzero entry becomes the pivot, the first in
+            # row-major order among equals; so no quotient below is zero
+            best = min(((abs(e), i, j) for i in range(k, m) for j, e in d[i].items()),
+                       default=None)
             if best is None:
                 break
             _, bi, bj = best
-            if bi != k:
-                swap_rows(k, bi)
+            d[k], d[bi], u[k], u[bi] = d[bi], d[k], u[bi], u[k]
             if bj != k:
-                swap_cols(k, bj)
+                for row in d + v:
+                    row.update({c: row.pop(o) for c, o in ((bj, k), (k, bj)) if o in row})
             pivot = d[k][k]
 
-            dirty = False
-            for i in range(k + 1, m):
-                if d[i][k]:
-                    q = d[i][k] // pivot
-                    if q:
-                        add_row(i, k, -q)
-                    if d[i][k]:
-                        dirty = True
-            if dirty:
+            below = [i for i in range(k + 1, m) if k in d[i]]
+            for i in below:
+                add_row(i, k, -(d[i][k] // pivot))
+            if any(k in d[i] for i in below):
                 continue
-            for j in range(k + 1, n):
-                if d[k][j]:
-                    q = d[k][j] // pivot
-                    if q:
-                        add_col(j, k, -q)
-                    if d[k][j]:
-                        dirty = True
-            if dirty:
+            right = [j for j in sorted(d[k]) if j > k]
+            for j in right:
+                q = d[k][j] // pivot
+                for row in d + v:
+                    if k in row:
+                        _addmul(row, {j: row[k]}, -q)
+            if any(j in d[k] for j in right):
                 continue
             # pivot must divide the whole remaining block for the chain property
-            stray = None
-            for i in range(k + 1, m):
-                row = d[i]
-                for j in range(k + 1, n):
-                    if row[j] % pivot:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            stray = next((i for i in range(k + 1, m)
+                          if any(e % pivot for e in d[i].values())), None)
             if stray is None:
                 break
             add_row(k, stray, 1)
 
-        if d[k][k] < 0:
+        if d[k].get(k, 0) < 0:
             for t in (d, u):
-                t[k] = [-e for e in t[k]]
+                t[k] = {j: -e for j, e in t[k].items()}
 
-    if matmul(matmul(u, mat), v) != d:
+    diagonal = [d[i].get(i, 0) for i in range(min(m, n))]
+    expected = [{i: e} if e else {} for i, e in enumerate(diagonal)]
+    if _product(u, _product(sparse, v)) != expected + [{}] * (m - len(diagonal)):
         raise AssertionError("smith normal form verification failed")
-    return SmithDecomposition(u, d, v)
+    return SmithDecomposition(u, v, diagonal)
 
 
 def left_kernel(mat):
     """Basis (as rows) of {x : x * mat = 0}, read off the zero rows of the SNF."""
     snf = smith_normal_form(mat)
-    return [list(snf.u[i]) for i in snf.zero_rows]
+    return _dense([snf.u_rows[i] for i in snf.zero_rows], len(mat))
 
 
-def _apply(mat, roots):
-    """mat times a column of roots, as integer numerators over one denominator."""
-    L = math.lcm(*(r.exponent.denominator for r in roots))
-    column = [[r.exponent.numerator * (L // r.exponent.denominator)] for r in roots]
-    return [Root(Fraction(row[0], L)) for row in matmul(mat, column)]
+def solve_exponents(snf, L, nums):
+    """Solve mat*x = nums/L over Q/Z on integers, given a decomposition of mat.
+
+    nums are the right-hand side's integer numerators over the denominator
+    L.  With u*mat*v = d the system becomes d*y = u*nums/L: each zero row of
+    d needs its entry to vanish mod L, y_i = (entry mod L)/(L d_i) where d_i
+    is nonzero, and y is 0 elsewhere.  Returns (L', numerators of x = v*y
+    mod L') with L' = L * lcm(nonzero d_i), or None when unsolvable.
+    """
+    m = len(snf.u_rows)
+    if len(nums) != m:
+        raise ValueError(f"expected {m} right-hand entries, got {len(nums)}")
+    w = [sum(e * nums[j] for j, e in row.items()) for row in snf.u_rows]
+    if any(w[i] % L for i in snf.zero_rows):
+        return None
+    L2 = L * math.lcm(*(di for di in snf.diagonal if di))
+    y = [(w[i] % L) * (L2 // (L * di)) if di else 0 for i, di in enumerate(snf.diagonal)]
+    y += [0] * (len(snf.v_rows) - len(y))
+    return L2, [sum(e * y[j] for j, e in row.items()) % L2 for row in snf.v_rows]
 
 
 def solve_with_snf(snf, v):
     """Solve mat*x = v over Q/Z given a precomputed decomposition of mat.
 
     v is a sequence of Root; returns a list of Root or None when unsolvable.
-    With u*mat*v' = d the system becomes d*y = u*v, solved per diagonal entry.
     """
-    m = len(snf.u)
-    n = len(snf.v)
-    if len(v) != m:
-        raise ValueError(f"expected {m} right-hand entries, got {len(v)}")
-    w = _apply(snf.u, v)
-    if any(not w[i].is_one() for i in snf.zero_rows):
+    sol = solve_exponents(snf, *_common_denominator([r.exponent for r in v]))
+    if sol is None:
         return None
-    diag = snf.diagonal
-    y = [canonical_root(w[i], di) if di else Root.one() for i, di in enumerate(diag)]
-    return _apply(snf.v, y + [Root.one()] * (n - len(diag)))
+    L, nums = sol
+    return [Root(Fraction(k, L)) for k in nums]
 
 
 def solve_mod1(mat, v):

@@ -7,6 +7,7 @@ structural.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +66,13 @@ class Root:
 
     def __repr__(self):
         return f"Root({self})"
+
+
+def _common_denominator(fracs):
+    """(L, nums): the fractions as integer numerators over their least common
+    denominator L."""
+    L = math.lcm(*(f.denominator for f in fracs))
+    return L, [f.numerator * (L // f.denominator) for f in fracs]
 
 
 def canonical_root(a: Root, k: int) -> Root:

@@ -1,5 +1,6 @@
 """Cocycle and coboundary decisions on both complexes, and classification."""
 
+import hashlib
 import itertools
 import random
 
@@ -298,6 +299,34 @@ def random_bar_coboundary(rng, group, den=8):
             trivial = x.is_identity() or y.is_identity()
             b[(x, y)] = one() if trivial else Root.of(rng.randrange(den), den)
     return bar_coboundary_table(group, b)
+
+
+@pytest.mark.parametrize("orders, den", [((2, 2), 2 ** 70), ((4, 3), 3 * 2 ** 70)],
+                         ids=["Z2^2", "Z4xZ3"])
+def test_bar_coboundary_exact_witness_beyond_int64(orders, den):
+    group = Group(orders)
+    table = random_bar_coboundary(random.Random(79), group, den)
+    assert table.exponents()[1].dtype == object
+    w = is_bar_coboundary(table)
+    assert w is not None
+    assert bar_coboundary_table(group, w) == table
+
+
+@pytest.mark.parametrize("orders, seed, digest", [
+    ((4, 2), 83, "7cecafc259655984f5e86433eb49db41a714f7c8d7f707e84b8e7b6735e5748d"),
+    ((2, 2, 2), 89, "98e04b5b6852e6fb0addf3dd673b2bdc823fce8494ca324e30fbe092568723bc"),
+], ids=["Z4xZ2", "Z2^3"])
+def test_bar_coboundary_witness_is_pinned(orders, seed, digest):
+    group = Group(orders)
+    w = is_bar_coboundary(random_bar_coboundary(random.Random(seed), group))
+    # the pairs with an identity argument first, then the others, both in
+    # lexicographic element order
+    elems = group.elements()
+    pairs = list(itertools.product(elems, elems))
+    assert list(w) == ([p for p in pairs if p[0].is_identity() or p[1].is_identity()]
+                       + [p for p in pairs if not (p[0].is_identity() or p[1].is_identity())])
+    items = sorted((x.exps, y.exps, str(v)) for (x, y), v in w.items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
 
 def test_classify_matches_scan_oracle():
