@@ -115,7 +115,8 @@ def _phi3(orders, nums, i, j, k):
     arrays that broadcast against each other.  After augmentation phi_3
     gives the slots the multiplicities i_r c(j_r, k_r) (rrr),
     i_t c(j_r, k_r) (rrt), k_r c(i_t, j_t) (rtt) and -k_r j_s i_t (rst),
-    with c the carry digit (derived from _f3 in notes/decisions.md).
+    with c the carry digit (derived from phi_3 = s_T phi_2 d_B in
+    notes/decisions.md).
     """
     n = len(orders)
     pairs, triples = pair_indices(n), triple_indices(n)

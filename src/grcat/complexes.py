@@ -5,10 +5,11 @@ whose degree-m generators are m-tuples of non-identity group elements, and
 the Koszul-like tensor complex built from one periodic strand per cyclic
 factor.  The degree 0..3 comparison maps from the bar side to the tensor
 side turn small-complex cochains into explicit functions on G^3; the maps
-back, built with the bar complex's contracting homotopy, turn functions on
-G^3 into small-complex cochains.  Both maps are extended linearly by one
-helper (_extend), and one square check (_first_failures) certifies that
-each commutes with the differentials.
+back turn functions on G^3 into small-complex cochains.  One recursion
+(_lift) builds both from the contracting homotopy of its target complex,
+contract on the bar side and contract_tensor on the tensor side; one helper
+(_extend) extends them linearly, and one square check (_first_failures)
+certifies that each commutes with the differentials.
 """
 
 from __future__ import annotations
@@ -147,13 +148,6 @@ def phi(index):
     return TensorGenerator(tuple(index))
 
 
-def _phi_at(n, *positions):
-    idx = [0] * n
-    for p in positions:
-        idx[p] += 1
-    return TensorGenerator(tuple(idx))
-
-
 def degree3_indices(n):
     """The degree-3 multi-indices in the order diag, iij, ijj, rst.
 
@@ -161,10 +155,12 @@ def degree3_indices(n):
     i < j with (2 in i, 1 in j) resp. (1 in i, 2 in j); rst follows the
     lexicographic triples.
     """
-    return ([_phi_at(n, l, l, l).index for l in range(n)]
-            + [_phi_at(n, i, i, j).index for i, j in pair_indices(n)]
-            + [_phi_at(n, i, j, j).index for i, j in pair_indices(n)]
-            + [_phi_at(n, r, s, t).index for r, s, t in triple_indices(n)])
+    def at(*positions):
+        return tuple(positions.count(p) for p in range(n))
+    return ([at(l, l, l) for l in range(n)]
+            + [at(i, i, j) for i, j in pair_indices(n)]
+            + [at(i, j, j) for i, j in pair_indices(n)]
+            + [at(r, s, t) for r, s, t in triple_indices(n)])
 
 
 class ChainVector:
@@ -257,89 +253,6 @@ def tensor_differential(v: ChainVector) -> ChainVector:
     return out
 
 
-def _unit(group, parts, digits, sign=1):
-    """sign times one group element, as a group ring element.
-
-    Its exponent in factor l is the sum of v[l] over the (v, cut) in parts
-    with l < cut, plus digits.get(l, 0).
-    """
-    exps = [0] * group.rank
-    for v, cut in parts:
-        for l in range(cut):
-            exps[l] += v[l]
-    for l, d in digits.items():
-        exps[l] += d
-    return GroupRingElement.unit(GroupElement(group, tuple(exps)), sign)
-
-
-def _f1(group, gen):
-    i = gen.elems[0].exps
-    n = group.rank
-    out = ChainVector(group)
-    for s in range(n):
-        for alpha in range(i[s]):
-            out.add_term(_phi_at(n, s), _unit(group, [(i, s)], {s: alpha}))
-    return out
-
-
-def _f2(group, gen):
-    i, j = (e.exps for e in gen.elems)
-    n = group.rank
-    out = ChainVector(group)
-    for s in range(n):
-        if i[s] + j[s] >= group.orders[s]:
-            out.add_term(_phi_at(n, s, s), _unit(group, [(i, s), (j, s)], {}))
-    for s, t in pair_indices(n):
-        for alpha in range(j[s]):
-            for beta in range(i[t]):
-                out.add_term(_phi_at(n, s, t),
-                             _unit(group, [(i, t), (j, s)], {s: alpha, t: beta}, -1))
-    return out
-
-
-def _f3(group, gen):
-    i, j, k = (e.exps for e in gen.elems)
-    n = group.rank
-    orders = group.orders
-    out = ChainVector(group)
-    for r in range(n):
-        if j[r] + k[r] >= orders[r]:
-            for beta in range(i[r]):
-                out.add_term(_phi_at(n, r, r, r),
-                             _unit(group, [(j, r), (k, r), (i, r)], {r: beta}))
-    for r, t in pair_indices(n):
-        if j[r] + k[r] >= orders[r]:
-            for beta in range(i[t]):
-                out.add_term(_phi_at(n, r, r, t),
-                             _unit(group, [(j, r), (k, r), (i, t)], {t: beta}))
-    for r, t in pair_indices(n):
-        if i[t] + j[t] >= orders[t]:
-            for gamma in range(k[r]):
-                out.add_term(_phi_at(n, r, t, t),
-                             _unit(group, [(i, t), (j, t), (k, r)], {r: gamma}))
-    for r, s, t in triple_indices(n):
-        for beta in range(i[t]):
-            for alpha in range(j[s]):
-                for gamma in range(k[r]):
-                    digits = {t: beta, s: alpha, r: gamma}
-                    out.add_term(_phi_at(n, r, s, t),
-                                 _unit(group, [(i, t), (j, s), (k, r)], digits, -1))
-    return out
-
-
-def chain_map(group: Group, gen: BarGenerator) -> ChainVector:
-    """Image of a normalized bar generator in the tensor complex, degree 0..3.
-
-    phi_0 sends [] to Phi(0, .., 0); degrees 1..3 are _f1, _f2, _f3.
-    """
-    if gen.degree == 0:
-        return single(TensorGenerator((0,) * group.rank),
-                      GroupRingElement.unit(group.identity()))
-    if gen.degree > 3:
-        raise ValueError(f"comparison map defined in degrees 0..3, got {gen.degree}")
-    return (_f1, _f2, _f3)[gen.degree - 1](group, gen)
-
-
 def _extend(image, v: ChainVector) -> ChainVector:
     """Extend a map given on generators (image) linearly over group ring coefficients."""
     out = ChainVector(v.group)
@@ -352,37 +265,6 @@ def _extend(image, v: ChainVector) -> ChainVector:
 def apply_chain_map(group, bar_vector: ChainVector) -> ChainVector:
     """Extend the comparison map linearly over group ring coefficients."""
     return _extend(lambda gen: chain_map(group, gen), bar_vector)
-
-
-def _first_failures(group, generators, image, d_source, d_target):
-    """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
-
-    generators(deg) lists the source generators of one degree in
-    lexicographic order.  Each image below degree 3 is computed once and
-    kept, so the right-hand side reads the images of the degree below from
-    that store; no square reads a degree-3 image, so those are not kept.
-    Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
-    first generator where the square fails.
-    """
-    one = GroupRingElement.unit(group.identity())
-    stored = functools.cache(image)
-
-    def fails(gen):
-        top = stored(gen) if gen.degree < 3 else image(gen)
-        return d_target(top) != _extend(stored, d_source(single(gen, one)))
-    return {deg: next(filter(fails, generators(deg)), None) for deg in (1, 2, 3)}
-
-
-def verify_chain_map(group: Group):
-    """Check that phi commutes with the differentials, degree by degree.
-
-    Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
-    first bar generator (lexicographic) where the square fails.
-    """
-    nonid = [x for x in group.elements() if not x.is_identity()]
-    return _first_failures(
-        group, lambda deg: map(BarGenerator, itertools.product(nonid, repeat=deg)),
-        lambda gen: chain_map(group, gen), bar_differential, tensor_differential)
 
 
 def contract(v: ChainVector) -> ChainVector:
@@ -401,23 +283,113 @@ def contract(v: ChainVector) -> ChainVector:
     return out
 
 
-def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
-    """Image of a tensor generator in the normalized bar complex, degree 0..3.
+def _strand_powers(a, e, m):
+    """The k with g^k Phi_(a+1) a term of s(g^e Phi_a) on a strand of order m."""
+    if a % 2 == 0:
+        return range(e)
+    return (0,) if e == m - 1 else ()
 
-    psi_0(Phi_0) = [] and psi_n(Phi) = s(psi_(n-1)(d_T Phi)), with s the
-    contracting homotopy; d_B s + s d_B = id makes this a chain map.
+
+def contract_tensor(v: ChainVector) -> ChainVector:
+    """The tensor complex's contracting homotopy s_T, Z-linear like contract.
+
+    On one strand of order m, s(g^e Phi_a) = (1 + g + ... + g^(e-1)) Phi_(a+1)
+    for even a, and for odd a it is Phi_(a+1) when e = m - 1 and 0
+    otherwise.  On the product, factor l acts when every factor above it is
+    in degree 0: from top, the last factor of nonzero degree, up to the
+    last factor.  The factors below l keep their digits, those above drop
+    theirs, and the sign is (-1)^(number of odd a_r with r < l).  Then
+    d s + s d = id - eta eps, where eta eps(g Phi_0) = Phi_0.
+    """
+    group = v.group
+    orders = group.orders
+    n = group.rank
+    out = ChainVector(group)
+    for gen, coeff in v.terms.items():
+        a = gen.index
+        top = max((l for l in range(n) if a[l]), default=0)
+        for l in range(top, n):
+            sign = (-1) ** sum(ar % 2 for ar in a[:l])
+            above = (0,) * (n - l - 1)
+            terms = [(GroupElement(group, g.exps[:l] + (k,) + above), sign * c)
+                     for g, c in coeff.terms.items()
+                     for k in _strand_powers(a[l], g.exps[l], orders[l])]
+            out.add_term(TensorGenerator(a[:l] + (a[l] + 1,) + a[l + 1:]),
+                         GroupRingElement(group, terms))
+    return out
+
+
+def _lift(group, gen, base, contract, d_source, image):
+    """A comparison map on one generator, built from a contracting homotopy.
+
+    Degree 0 goes to base; in degrees 1..3 the image of gen is
+    contract(image(d_source gen)), with image extended linearly.  When
+    image commutes with the differentials below, image(d_source gen) is a
+    cycle of augmentation 0, so d contract + contract d = id - eta eps makes
+    the new square commute too (Brown, Cohomology of Groups, ch. I).
     """
     one = GroupRingElement.unit(group.identity())
     if gen.degree == 0:
-        return single(BarGenerator(()), one)
+        return single(base, one)
     if gen.degree > 3:
         raise ValueError(f"comparison map defined in degrees 0..3, got {gen.degree}")
-    return contract(apply_tensor_to_bar(group, tensor_differential(single(gen, one))))
+    return contract(_extend(image, d_source(single(gen, one))))
 
 
-def apply_tensor_to_bar(group, tensor_vector: ChainVector) -> ChainVector:
-    """Extend tensor_to_bar linearly over group ring coefficients."""
-    return _extend(lambda gen: tensor_to_bar(group, gen), tensor_vector)
+def chain_map(group: Group, gen: BarGenerator) -> ChainVector:
+    """Image of a normalized bar generator in the tensor complex, degree 0..3.
+
+    phi_0([]) = Phi(0, .., 0) and phi_n(x) = s_T(phi_(n-1)(d_B x)), with s_T
+    the tensor complex's contracting homotopy (contract_tensor).
+    """
+    return _lift(group, gen, TensorGenerator((0,) * group.rank), contract_tensor,
+                 bar_differential, lambda g: chain_map(group, g))
+
+
+def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
+    """Image of a tensor generator in the normalized bar complex, degree 0..3.
+
+    psi_0(Phi_0) = [] and psi_n(Phi) = s(psi_(n-1)(d_T Phi)), with s the bar
+    complex's contracting homotopy (contract).
+    """
+    return _lift(group, gen, BarGenerator(()), contract, tensor_differential,
+                 lambda g: tensor_to_bar(group, g))
+
+
+def _first_failures(group, generators, base, contract, d_source, d_target):
+    """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
+
+    image is the map that _lift builds from base and contract, memoized
+    here.  Since image(x) is contract(below) with below = image(d_source(x)),
+    each square computes below once and compares d_target(contract(below))
+    with it; only images below degree 3 are read, so only those are kept.
+    generators(deg) lists the source generators of one degree in
+    lexicographic order.  Returns {1: None|gen, 2: None|gen, 3: None|gen},
+    the value being the first generator where the square fails.
+    """
+    one = GroupRingElement.unit(group.identity())
+
+    @functools.cache
+    def image(gen):
+        return _lift(group, gen, base, contract, d_source, image)
+
+    def fails(gen):
+        below = _extend(image, d_source(single(gen, one)))
+        return d_target(contract(below)) != below
+    return {deg: next(filter(fails, generators(deg)), None) for deg in (1, 2, 3)}
+
+
+def verify_chain_map(group: Group):
+    """Check that phi commutes with the differentials, degree by degree.
+
+    Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
+    first bar generator (lexicographic) where the square fails.
+    """
+    nonid = [x for x in group.elements() if not x.is_identity()]
+    return _first_failures(
+        group, lambda deg: map(BarGenerator, itertools.product(nonid, repeat=deg)),
+        TensorGenerator((0,) * group.rank), contract_tensor,
+        bar_differential, tensor_differential)
 
 
 def verify_tensor_to_bar(group: Group):
@@ -431,7 +403,7 @@ def verify_tensor_to_bar(group: Group):
         return (TensorGenerator(index)
                 for index in itertools.product(range(deg + 1), repeat=group.rank)
                 if sum(index) == deg)
-    return _first_failures(group, generators, lambda gen: tensor_to_bar(group, gen),
+    return _first_failures(group, generators, BarGenerator(()), contract,
                            tensor_differential, bar_differential)
 
 
@@ -464,8 +436,8 @@ def pullback_3cochain(f, group: Group, max_cells: int = 10 ** 6):
     the augmented coefficients of chain_map([x|y|z]).  Those multiplicities
     have a closed form in the digits and carries of x, y, z, which
     cocycles._phi3_exponents evaluates on all of G^3 over one common
-    denominator (derived from _f3 in notes/decisions.md).  Returns the
-    induced table on G^3.
+    denominator (derived from phi_3 = s_T phi_2 d_B in notes/decisions.md).
+    Returns the induced table on G^3.
     """
     size = group.order ** 3
     if size > max_cells:

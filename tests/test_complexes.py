@@ -1,5 +1,6 @@
 """Resolutions, differentials, and the comparison maps between them."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from grcat import complexes
 from grcat.complexes import (BarGenerator, ChainVector, GroupRingElement,
                              TensorGenerator, apply_chain_map,
                              bar_differential, bar_generator, chain_map,
-                             contract, degree3_indices, norm_element, phi,
+                             contract, contract_tensor, degree3_indices,
+                             norm_element, phi,
                              pullback_3cochain, single, t_element,
                              tensor_differential, tensor_to_bar,
                              tensor_to_bar_cells, verify_chain_map,
@@ -191,19 +193,45 @@ def test_chain_map_commutes_order_sixteen_spots():
         assert failures == {1: None, 2: None, 3: None}, orders
 
 
-@pytest.mark.parametrize("name, expected", [
-    ("_f1", {1: ((0, 1),), 2: ((0, 1), (0, 1)), 3: None}),
-    ("_f2", {1: None, 2: ((0, 1), (0, 1)), 3: ((0, 1), (0, 1), (0, 1))}),
-])
-def test_chain_map_check_reports_first_failure(monkeypatch, name, expected):
-    # with one degree of phi replaced by zero, the squares that read it fail,
-    # first at the lexicographically least generator
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_map_check_reports_first_failure(monkeypatch, k):
+    # with s_T replaced by zero on degree k - 1, phi_k vanishes and the square
+    # in degree k fails, first at the lexicographically least generator; the
+    # degrees above lift the zero map and commute again
     group = Group((2, 2))
-    monkeypatch.setattr(complexes, name, lambda group, gen: ChainVector(group))
+    real_contract = complexes.contract_tensor
+
+    def broken(v):
+        if any(gen.degree == k - 1 for gen in v.terms):
+            return ChainVector(v.group)
+        return real_contract(v)
+    monkeypatch.setattr(complexes, "contract_tensor", broken)
     failures = verify_chain_map(group)
-    assert failures == {deg: None if exps is None else
-                        BarGenerator(tuple(map(group.element, exps)))
-                        for deg, exps in expected.items()}
+    first = BarGenerator((group.element((0, 1)),) * k)
+    assert failures == {deg: first if deg == k else None for deg in (1, 2, 3)}
+
+
+def chain_map_digest(group):
+    """sha256 of the canonically sorted chain_map images in degrees 1..3."""
+    nonid = [x for x in group.elements() if not x.is_identity()]
+    h = hashlib.sha256()
+    for deg in (1, 2, 3):
+        for elems in itertools.product(nonid, repeat=deg):
+            image = chain_map(group, BarGenerator(elems))
+            terms = sorted((gen.index, sorted((g.exps, c) for g, c in coeff.terms.items()))
+                           for gen, coeff in image.terms.items())
+            h.update(repr((tuple(e.exps for e in elems), terms)).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("orders, digest", [
+    ((4, 2), "3938884c91119d5566c0c0350c44dd57459db6a9b3c231704e7e397d6d7c20c2"),
+    ((2, 2, 2), "14b3407e0f73b7f6a5e51f2541b0fe93f2c65cbb5762383c1dc44a00a97de19b"),
+], ids=["Z4xZ2", "Z2^3"])
+def test_chain_map_images_pinned(orders, digest):
+    # every image in degrees 1..3, term for term, as the hand-written
+    # formulas for the paper's explicit phi_1, phi_2, phi_3 gave them
+    assert chain_map_digest(Group(orders)) == digest
 
 
 def test_pullback_reproduces_canonical_tables():
@@ -269,6 +297,67 @@ def test_contracting_homotopy_frozen_values():
                                                             group.identity(): 5}))
     # the identity part of a coefficient collapses to the normalized zero
     assert contract(v).terms == {bar_generator([h ** 2, h]): unit(group) * 3}
+
+
+def test_tensor_contracting_homotopy_frozen_values():
+    def s(group, index, g):
+        return contract_tensor(single(phi(index), GroupRingElement.unit(g))).terms
+
+    z4 = Group((4,))
+    h = z4.generator(0)
+    assert s(z4, (0,), h ** 2) == {phi((1,)): unit(z4) + GroupRingElement.unit(h)}
+    assert s(z4, (1,), h ** 3) == {phi((2,)): unit(z4)}
+    assert s(z4, (1,), h) == {}
+
+    group = Group((2, 2))
+    g1, g2 = group.generator(0), group.generator(1)
+    assert s(group, (1, 0), g1) == {phi((2, 0)): unit(group)}
+    # factor 1 acts past the odd factor 0, hence the sign
+    assert s(group, (1, 0), g2) == {phi((1, 1)): unit(group) * -1}
+    # factor 0 keeps its digit below the acting factor 1
+    assert s(group, (0, 1), g1 * g2) == {phi((0, 2)): GroupRingElement.unit(g1)}
+
+
+@pytest.mark.parametrize("side", ["bar", "tensor"])
+@pytest.mark.parametrize("orders", [(4, 2), (3, 3), (2, 2, 2)],
+                         ids=["Z4xZ2", "Z3^2", "Z2^3"])
+def test_contracting_homotopy_identity(orders, side):
+    # d s + s d = id - eta eps on g x, for every group element g and every
+    # generator x; the bar side stops at degree 2, where d s reaches the
+    # degree-3 end of bar_differential
+    group = Group(orders)
+    if side == "bar":
+        nonid = [x for x in group.elements() if not x.is_identity()]
+        s, d, base, top = contract, bar_differential, BarGenerator(()), 2
+
+        def generators(deg):
+            return map(BarGenerator, itertools.product(nonid, repeat=deg))
+    else:
+        s, d, base, top = contract_tensor, tensor_differential, phi((0,) * group.rank), 3
+
+        def generators(deg):
+            return (phi(index)
+                    for index in itertools.product(range(deg + 1), repeat=group.rank)
+                    if sum(index) == deg)
+    for deg in range(top + 1):
+        for gen in generators(deg):
+            for g in group.elements():
+                x = single(gen, GroupRingElement.unit(g))
+                if deg == 0:
+                    assert d(s(x)) == x - single(base, unit(group)), (gen, g)
+                else:
+                    assert d(s(x)) + s(d(x)) == x, (gen, g)
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (2, 2, 2)], ids=["Z4xZ2", "Z2^3"])
+def test_phi3_contracts_the_left_translate(orders):
+    # s_T kills phi_2 of the last three terms of d_B[x|y|z], so
+    # phi_3[x|y|z] = s_T(x phi_2[y|z]) (the derivation in notes/decisions.md)
+    group = Group(orders)
+    nonid = [x for x in group.elements() if not x.is_identity()]
+    for x, y, z in itertools.product(nonid, repeat=3):
+        translate = chain_map(group, BarGenerator((y, z))).scaled(GroupRingElement.unit(x))
+        assert chain_map(group, BarGenerator((x, y, z))) == contract_tensor(translate)
 
 
 def test_tensor_to_bar_frozen_values():
