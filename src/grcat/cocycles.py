@@ -3,12 +3,13 @@
 A parameter choice assigns one exponent to each cyclic factor, each ordered
 pair of factors, and each ordered triple of factors, bounded by the factor
 order resp. the gcd of the orders involved.  The canonical cocycle is the
-pullback of a tensor 3-cochain through the comparison map phi_3, whose
-multiplicities have a closed form in the digits and carries of the three
-arguments; one kernel (_phi3) evaluates it on one triple or, broadcast, on
-the whole cube.  A table stores the values as exponents: integer numerators
-modulo one common denominator (CocycleTable.exponents), with roots of unity
-built only at the API and JSON boundary.  The verifiers below read those
+pullback of a tensor 3-cochain (representative_cochain) through phi_3,
+whose multiplicities have a closed form in the digits and carries of the
+three arguments; one kernel (_phi3) evaluates it on one triple or,
+broadcast, on the whole cube.  Cochains and tables hold exponents: integer
+numerators over one common denominator (TensorCochain3.exponents,
+CocycleTable.exponents), with roots of unity built only at the API and
+JSON boundary.  The verifiers below read those
 exponents with the group's multiplication table, and confirm (or refute,
 with the lexicographically first witness) the pentagon identity,
 normalization, and symmetry in the last two arguments over the whole cube
@@ -61,6 +62,9 @@ class CocycleParams:
             if len(values) != len(slots):
                 raise ValueError(f"need {len(slots)} {name} exponents, got {len(values)}")
             for slot, a, d in zip(slots, values, moduli):
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise ValueError(f"{name} exponent {a!r} for {noun} {slot} "
+                                     "must be an integer")
                 if not 0 <= a < d:
                     raise ValueError(f"{name} exponent {a} out of range for {noun} {slot}")
 
@@ -89,12 +93,121 @@ def enumerate_params(group: Group):
             for combo in itertools.product(*map(range, slot_moduli(group.orders)))]
 
 
-def _representative_nums(params: CocycleParams):
-    """(L, nums): the canonical tensor cochain of a parameter choice.
+def degree3_indices(n):
+    """The degree-3 multi-indices in the order diag, iij, ijj, rst.
 
-    Numerators over one common denominator L on the degree-3 tensor
-    generators in degree3_indices order, of a_l/m_l on rrr, a_st/m_t on the
-    rrt slot (s, t), 0 on rtt and a_rst/gcd(m_r, m_s, m_t) on rst.
+    diag has 3 in one slot; iij and ijj follow the lexicographic pairs
+    i < j with (2 in i, 1 in j) resp. (1 in i, 2 in j); rst follows the
+    lexicographic triples.
+    """
+    def at(*positions):
+        return tuple(positions.count(p) for p in range(n))
+    return ([at(l, l, l) for l in range(n)]
+            + [at(i, i, j) for i, j in pair_indices(n)]
+            + [at(i, j, j) for i, j in pair_indices(n)]
+            + [at(r, s, t) for r, s, t in triple_indices(n)])
+
+
+@dataclass(frozen=True, init=False)
+class TensorCochain3:
+    """Root-of-unity values on the degree-3 generators of the small complex.
+
+    The state is (L, nums) as exponents() returns it: the values' exponents
+    as integer numerators over their least common denominator L, in
+    degree3_indices order, which is the order _phi3 reads.  diag[l] is the
+    value on the index with 3 in slot l; iij and ijj are aligned with the
+    lexicographic pair list (i < j), carrying the values on (2 in i, 1 in
+    j) resp. (1 in i, 2 in j); rst is aligned with the lexicographic triple
+    list.  These four are tuples of Root, built on each access.
+    """
+
+    group: Group
+    _L: int
+    _nums: tuple
+
+    def __init__(self, group: Group, diag, iij, ijj, rst):
+        blocks = (tuple(diag), tuple(iij), tuple(ijj), tuple(rst))
+        n = group.rank
+        p = len(pair_indices(n))
+        if tuple(map(len, blocks)) != (n, p, p, len(triple_indices(n))):
+            raise ValueError("value tuples do not match the index sets of the group")
+        self._assign(group, *_common_denominator(
+            [v.exponent for block in blocks for v in block]))
+
+    @classmethod
+    def _from_exponents(cls, group: Group, L: int, nums):
+        """The cochain of the numerators nums over L."""
+        f = cls.__new__(cls)
+        f._assign(group, L, nums)
+        return f
+
+    def _assign(self, group, L, nums):
+        """Hold nums over L reduced mod L and by their gcd with L: the canonical form."""
+        nums = [k % L for k in nums]
+        g = math.gcd(L, *nums)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_L", L // g)
+        object.__setattr__(self, "_nums", tuple(k // g for k in nums))
+
+    def exponents(self):
+        """(L, nums): the values as integer numerators mod their common denominator L."""
+        return self._L, self._nums
+
+    def _blocks(self):
+        """The numerators split into the diag, iij, ijj and rst blocks."""
+        n = self.group.rank
+        p = len(pair_indices(n))
+        cuts = (0, n, n + p, n + 2 * p, len(self._nums))
+        return [self._nums[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def _roots(self, block):
+        return tuple(Root(Fraction(k, self._L)) for k in self._blocks()[block])
+
+    @property
+    def diag(self):
+        return self._roots(0)
+
+    @property
+    def iij(self):
+        return self._roots(1)
+
+    @property
+    def ijj(self):
+        return self._roots(2)
+
+    @property
+    def rst(self):
+        return self._roots(3)
+
+    def value(self, index) -> Root:
+        """Value on one degree-3 multi-index of the small complex."""
+        index = tuple(index)
+        n = self.group.rank
+        if len(index) != n or sum(index) != 3 or any(a < 0 for a in index):
+            raise ValueError(f"not a degree-3 multi-index: {index}")
+        return Root(Fraction(self._nums[degree3_indices(n).index(index)], self._L))
+
+    def _combine(self, other, sign):
+        if self.group != other.group:
+            raise ValueError("cochains live over different groups")
+        L = math.lcm(self._L, other._L)
+        return TensorCochain3._from_exponents(self.group, L, [
+            a * (L // self._L) + sign * b * (L // other._L)
+            for a, b in zip(self._nums, other._nums)])
+
+    def __mul__(self, other):
+        return self._combine(other, 1)
+
+    def __truediv__(self, other):
+        return self._combine(other, -1)
+
+
+@functools.lru_cache(maxsize=256)
+def representative_cochain(params: CocycleParams) -> TensorCochain3:
+    """The canonical cocycle on the small complex for one parameter choice.
+
+    Its values are a_l/m_l on rrr, a_st/m_t on the rrt slot (s, t), 0 on
+    rtt and a_rst/gcd(m_r, m_s, m_t) on rst.
     """
     orders = params.group.orders
     n = params.group.rank
@@ -104,7 +217,8 @@ def _representative_nums(params: CocycleParams):
             + moduli[n + len(pairs):])
     L = math.lcm(*dens)
     exps = params.diag + params.pairs + (0,) * len(pairs) + params.triples
-    return L, [a * (L // d) for a, d in zip(exps, dens)]
+    return TensorCochain3._from_exponents(params.group, L,
+                                          [a * (L // d) for a, d in zip(exps, dens)])
 
 
 def _phi3(orders, nums, i, j, k):
@@ -143,28 +257,10 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
-def _phi3_exponents(group: Group, nums, L: int):
-    """_phi3 on every cell of G^3: an (N, N, N) array of exponents mod L.
-
-    Cells follow the CocycleTable layout.  The sums run in int64 when no
-    partial sum can overflow it, in Python ints otherwise.
-    """
-    N = group.order
-    dtype = _int_dtype(len(nums) * L * max(group.orders) ** 3)
-    digits = np.array(list(itertools.product(*(range(m) for m in group.orders))),
-                      dtype=np.int64).T.astype(dtype)
-    i, j, k = (digits.reshape(group.rank, *shape)
-               for shape in ((N, 1, 1), (1, N, 1), (1, 1, N)))
-    w = np.zeros((N, N, N), dtype=dtype)
-    w += _phi3(group.orders, nums, i, j, k)
-    w %= L
-    return w
-
-
 def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,
                  z: GroupElement) -> Root:
     """Value of the canonical cocycle at one triple, as an exact root of unity."""
-    L, nums = _representative_nums(params)
+    L, nums = representative_cochain(params).exponents()
     return Root(Fraction(_phi3(params.group.orders, nums, x.exps, y.exps, z.exps), L))
 
 
@@ -249,18 +345,41 @@ class CocycleTable:
                 and self._L == other._L and np.array_equal(self._w, other._w))
 
 
+def pullback_3cochain(f: TensorCochain3, group: Group,
+                      max_cells: int = 10 ** 6) -> CocycleTable:
+    """Compose a tensor 3-cochain with the degree-3 comparison map phi_3.
+
+    Coefficients act through the augmentation since the values carry the
+    trivial group action, so cell [x|y|z] takes the values of f weighted by
+    the augmented coefficients of chain_map([x|y|z]).  Those multiplicities
+    have a closed form in the digits and carries of x, y, z, which _phi3
+    evaluates on all of G^3 at once, in int64 when no partial sum can
+    overflow it and in Python ints otherwise.  Refuses above max_cells
+    entries; returns the induced table on G^3.
+    """
+    if f.group != group:
+        raise ValueError("the cochain lives over a different group")
+    N = group.order
+    if N ** 3 > max_cells:
+        raise ValueError(f"table would need {N ** 3} cells, above the {max_cells} bound")
+    L, nums = f.exponents()
+    dtype = _int_dtype(len(nums) * L * max(group.orders) ** 3)
+    digits = np.array(list(itertools.product(*(range(m) for m in group.orders))),
+                      dtype=np.int64).T.astype(dtype)
+    i, j, k = (digits.reshape(group.rank, *shape)
+               for shape in ((N, 1, 1), (1, N, 1), (1, 1, N)))
+    w = np.zeros((N, N, N), dtype=dtype)
+    w += _phi3(group.orders, nums, i, j, k)
+    w %= L
+    return CocycleTable._from_exponents(group, L, w)
+
+
 def build_table(params: CocycleParams, max_cells: int = 10 ** 6) -> CocycleTable:
     """Tabulate the cocycle over all of G^3; refuses above max_cells entries.
 
-    The table is the pullback through phi_3 of the canonical tensor cochain,
-    in closed form on all cells at once.
+    The table is the pullback through phi_3 of the canonical tensor cochain.
     """
-    group = params.group
-    size = group.order ** 3
-    if size > max_cells:
-        raise ValueError(f"table would need {size} cells, above the {max_cells} bound")
-    L, nums = _representative_nums(params)
-    return CocycleTable._from_exponents(group, L, _phi3_exponents(group, nums, L))
+    return pullback_3cochain(representative_cochain(params), params.group, max_cells)
 
 
 def _first_witness(group: Group, bad):

@@ -1,13 +1,15 @@
 """Degree-3 cohomology over a finite abelian group, on both complexes.
 
-Tensor side: cochains live on the finitely many degree-3 generators of the
-small complex, so the cocycle and coboundary conditions collapse to power
-equations on roots of unity (solved exactly through the Q/Z linear algebra
-in intlinalg).  Bar side: a table on G^3 is a coboundary iff an explicit
-linear system over Q/Z in the unknowns b(x,y) is solvable.  Classification
-composes the two: a normalized cocycle table on G^3 is pulled back through
-the comparison map psi_3 to a tensor cocycle, whose class is then read off
-in closed form.
+Tensor side: cochains (cocycles.TensorCochain3) live on the finitely many
+degree-3 generators of the small complex, as integer numerators over one
+common denominator, so the cocycle condition is a divisibility test per
+generator and the normal form of a class is read off in closed form;
+is_tensor_coboundary decides coboundaries independently through the Q/Z
+linear algebra in intlinalg.  Bar side: a table on G^3 is a coboundary iff
+an explicit linear system over Q/Z in the unknowns b(x,y) is solvable.
+Classification composes the two: a normalized cocycle table on G^3 is
+pulled back through the comparison map psi_3 to a tensor cocycle, whose
+class is then read off in closed form.
 """
 
 from __future__ import annotations
@@ -20,80 +22,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycles import (CocycleParams, CocycleTable, _int_dtype, _representative_nums,
-                       pair_indices, slot_moduli, triple_indices, verify_normalized,
-                       verify_pentagon)
+# representative_cochain is not used here; callers import it from this module too
+from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _int_dtype,
+                       degree3_indices, pair_indices, representative_cochain,
+                       slot_moduli, triple_indices, verify_normalized, verify_pentagon)
 from .complexes import (BarGenerator, GroupRingElement, bar_differential, single,
                         tensor_to_bar_cells)
 from .groups import Group
 from .intlinalg import smith_normal_form, solve_exponents, solve_mod1
-from .roots import Root, _common_denominator, canonical_root
-
-
-@dataclass(frozen=True)
-class TensorCochain3:
-    """Root-of-unity values on the degree-3 generators of the small complex.
-
-    diag[l] is the value on the index with 3 in slot l; iij and ijj are
-    aligned with the lexicographic pair list (i < j), carrying the values on
-    (2 in i, 1 in j) resp. (1 in i, 2 in j); rst is aligned with the
-    lexicographic triple list.
-    """
-
-    group: Group
-    diag: tuple
-    iij: tuple
-    ijj: tuple
-    rst: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(self.diag))
-        object.__setattr__(self, "iij", tuple(self.iij))
-        object.__setattr__(self, "ijj", tuple(self.ijj))
-        object.__setattr__(self, "rst", tuple(self.rst))
-        n = self.group.rank
-        np_, nt = len(pair_indices(n)), len(triple_indices(n))
-        if len(self.diag) != n or len(self.iij) != np_ \
-                or len(self.ijj) != np_ or len(self.rst) != nt:
-            raise ValueError("value tuples do not match the index sets of the group")
-
-    def value(self, index) -> Root:
-        """Value on one degree-3 multi-index of the small complex."""
-        index = tuple(index)
-        n = self.group.rank
-        if len(index) != n or sum(index) != 3 or any(a < 0 for a in index):
-            raise ValueError(f"not a degree-3 multi-index: {index}")
-        support = [(pos, a) for pos, a in enumerate(index) if a]
-        if len(support) == 1:
-            return self.diag[support[0][0]]
-        if len(support) == 2:
-            (i, ai), (j, aj) = support
-            k = pair_indices(n).index((i, j))
-            return self.iij[k] if ai == 2 else self.ijj[k]
-        r, s, t = (pos for pos, _ in support)
-        return self.rst[triple_indices(n).index((r, s, t))]
-
-    def _combine(self, other, op):
-        if self.group != other.group:
-            raise ValueError("cochains live over different groups")
-        parts = ((self.diag, other.diag), (self.iij, other.iij),
-                 (self.ijj, other.ijj), (self.rst, other.rst))
-        return TensorCochain3(self.group, *(tuple(map(op, a, b)) for a, b in parts))
-
-    def __mul__(self, other):
-        return self._combine(other, Root.__mul__)
-
-    def __truediv__(self, other):
-        return self._combine(other, Root.__truediv__)
+from .roots import Root, _common_denominator
 
 
 def all_ones_cochain(group: Group) -> TensorCochain3:
-    n = group.rank
-    one = Root.one()
-    return TensorCochain3(group, (one,) * n,
-                          (one,) * len(pair_indices(n)),
-                          (one,) * len(pair_indices(n)),
-                          (one,) * len(triple_indices(n)))
+    return TensorCochain3._from_exponents(group, 1, [0] * len(degree3_indices(group.rank)))
 
 
 @dataclass(frozen=True)
@@ -121,13 +62,11 @@ def tensor_coboundary(witness: CoboundaryWitness2) -> TensorCochain3:
     group = witness.group
     n = group.rank
     orders = group.orders
-    one = Root.one()
-    iij = tuple(witness.pairs[k] ** orders[i]
-                for k, (i, j) in enumerate(pair_indices(n)))
-    ijj = tuple(witness.pairs[k] ** (-orders[j])
-                for k, (i, j) in enumerate(pair_indices(n)))
-    return TensorCochain3(group, (one,) * n, iij, ijj,
-                          (one,) * len(triple_indices(n)))
+    pairs = pair_indices(n)
+    L, ws = _common_denominator([v.exponent for v in witness.pairs])
+    return TensorCochain3._from_exponents(
+        group, L, [0] * n + [w * orders[i] for w, (i, _) in zip(ws, pairs)]
+        + [-w * orders[j] for w, (_, j) in zip(ws, pairs)] + [0] * len(triple_indices(n)))
 
 
 def is_tensor_cocycle(f: TensorCochain3):
@@ -135,21 +74,24 @@ def is_tensor_cocycle(f: TensorCochain3):
 
     The equations, scanned diagonal then pairs then triples: the diagonal
     value has order dividing m_i; per pair, f_ijj^(m_i) * f_iij^(m_j) = 1;
-    per triple, the value is killed by each of the three orders.
+    per triple, the value is killed by each of the three orders.  On the
+    numerators over L each is a divisibility by L.
     """
     orders = f.group.orders
     n = f.group.rank
-    for l in range(n):
-        if not (f.diag[l] ** orders[l]).is_one():
-            return f"f[{l + 1},{l + 1},{l + 1}]^{orders[l]} != 1"
-    for k, (i, j) in enumerate(pair_indices(n)):
-        if not (f.ijj[k] ** orders[i] * f.iij[k] ** orders[j]).is_one():
+    L, _ = f.exponents()
+    diag, iij, ijj, rst = f._blocks()
+    for l, (v, m) in enumerate(zip(diag, orders)):
+        if v * m % L:
+            return f"f[{l + 1},{l + 1},{l + 1}]^{m} != 1"
+    for (i, j), a, b in zip(pair_indices(n), iij, ijj):
+        if (b * orders[i] + a * orders[j]) % L:
             return (f"f[{i + 1},{j + 1},{j + 1}]^{orders[i]} * "
                     f"f[{i + 1},{i + 1},{j + 1}]^{orders[j]} != 1")
-    for k, (r, s, t) in enumerate(triple_indices(n)):
-        for m, label in ((orders[r], r), (orders[s], s), (orders[t], t)):
-            if not (f.rst[k] ** m).is_one():
-                return f"f[{r + 1},{s + 1},{t + 1}]^{orders[label]} != 1"
+    for (r, s, t), v in zip(triple_indices(n), rst):
+        for m in (orders[r], orders[s], orders[t]):
+            if v * m % L:
+                return f"f[{r + 1},{s + 1},{t + 1}]^{m} != 1"
     return None
 
 
@@ -162,14 +104,12 @@ def is_tensor_coboundary(f: TensorCochain3):
     """
     group = f.group
     orders = group.orders
-    n = group.rank
-    if any(not v.is_one() for v in f.diag):
-        return None
-    if any(not v.is_one() for v in f.rst):
+    diag, _, _, rst = f._blocks()
+    if any(diag) or any(rst):
         return None
     witness = []
-    for k, (i, j) in enumerate(pair_indices(n)):
-        sol = solve_mod1([[orders[i]], [-orders[j]]], [f.iij[k], f.ijj[k]])
+    for (i, j), a, b in zip(pair_indices(group.rank), f.iij, f.ijj):
+        sol = solve_mod1([[orders[i]], [-orders[j]]], [a, b])
         if sol is None:
             return None
         witness.append(sol[0])
@@ -181,27 +121,14 @@ def h3_order(group: Group) -> int:
     return math.prod(slot_moduli(group.orders))
 
 
-def _cochain_from_slots(group: Group, values) -> TensorCochain3:
-    """The cochain with the given values in degree3_indices order."""
-    n = group.rank
-    p = len(pair_indices(n))
-    return TensorCochain3(group, values[:n], values[n:n + p], values[n + p:n + 2 * p],
-                          values[n + 2 * p:])
-
-
-def representative_cochain(a: CocycleParams) -> TensorCochain3:
-    """The canonical cocycle on the small complex for one parameter choice."""
-    L, nums = _representative_nums(a)
-    return _cochain_from_slots(a.group, [Root.of(k, L) for k in nums])
-
-
 def reduce_to_normal_form(f: TensorCochain3):
     """Parameters a and witness W with f = representative(a) * coboundary(W).
 
     Raises ValueError when f is not a cocycle.  Per pair: W starts as the
-    m_j-th root of the inverse ijj component (clearing ijj), the remaining
-    iij exponent is then reduced modulo gcd(m_i, m_j) by a further root of
-    unity of order dividing m_j.
+    m_j-th root g0 = exp(2 pi i u/(L m_j)) of the inverse ijj component
+    exp(2 pi i u/L) (clearing ijj), the remaining iij exponent is then
+    reduced modulo gcd(m_i, m_j) by a further root of unity of order
+    dividing m_j.
     """
     violation = is_tensor_cocycle(f)
     if violation is not None:
@@ -209,26 +136,25 @@ def reduce_to_normal_form(f: TensorCochain3):
     group = f.group
     orders = group.orders
     n = group.rank
-
     moduli = slot_moduli(orders)
-    diag = tuple(int(v.exponent * m) for v, m in zip(f.diag, moduli))
+    L, _ = f.exponents()
+    diag, iij, ijj, rst = f._blocks()
 
     pairs = []
     witness = []
-    for k, ((i, j), d) in enumerate(zip(pair_indices(n), moduli[n:])):
+    for (i, j), d, a, b in zip(pair_indices(n), moduli[n:], iij, ijj):
         mi, mj = orders[i], orders[j]
-        g0 = canonical_root(f.ijj[k].inv(), mj)
-        v = f.iij[k] * g0 ** (-mi)
-        # closure forces v^(m_j) = 1
-        c = int(v.exponent * mj)
+        u = -b % L
+        # f_iij g0^(-m_i) has exponent c/m_j, an integer c by closure
+        c = (a * mj - mi * u) % (L * mj) // L
         a_ij = c % d
         e = (pow(mi // d, -1, mj // d) * ((c - a_ij) // d)) % (mj // d)
         pairs.append(a_ij)
-        witness.append(g0 * Root.of(e, mj))
+        witness.append(Root(Fraction(u + e * L, L * mj)))
 
-    triples = [int(v.exponent * d) % d for v, d in zip(f.rst, moduli[n + len(pairs):])]
-
-    return (CocycleParams(group, diag, tuple(pairs), tuple(triples)),
+    return (CocycleParams(group, tuple(v * m // L for v, m in zip(diag, orders)),
+                          tuple(pairs),
+                          tuple(v * d // L for v, d in zip(rst, moduli[n + len(pairs):]))),
             CoboundaryWitness2(group, tuple(witness)))
 
 
@@ -313,8 +239,8 @@ def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
     """
     L, w = t.exponents()
     flat = w.reshape(-1).tolist()
-    return _cochain_from_slots(t.group, [
-        Root(Fraction(sum(m * flat[cell] for cell, m in cells), L))
+    return TensorCochain3._from_exponents(t.group, L, [
+        sum(m * flat[cell] for cell, m in cells)
         for cells in tensor_to_bar_cells(t.group.orders)])
 
 

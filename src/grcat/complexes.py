@@ -9,7 +9,9 @@ back turn functions on G^3 into small-complex cochains.  One recursion
 (_lift) builds both from the contracting homotopy of its target complex,
 contract on the bar side and contract_tensor on the tensor side; one helper
 (_extend) extends them linearly, and one square check (_first_failures)
-certifies that each commutes with the differentials.
+certifies that each commutes with the differentials.  Group ring elements
+and chain vectors share one formal-sum rule (_FormalSum).  The pullback
+through phi_3 lives in cocycles; pullback_3cochain is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,28 +20,60 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .cocycles import CocycleTable, _phi3_exponents, pair_indices, triple_indices
+from .cocycles import degree3_indices, pullback_3cochain
 from .groups import Group, GroupElement
-from .roots import _common_denominator
 
 
-class GroupRingElement:
-    """Finite integer combination of group elements."""
+class _FormalSum:
+    """Finite formal sum over one group: a dict from keys to nonzero coefficients."""
 
     __slots__ = ("group", "terms")
 
     def __init__(self, group: Group, terms=None):
-        """Sum the (element, coefficient) pairs of terms, a dict or an iterable."""
+        """Sum the (key, coefficient) pairs of terms, a dict or an iterable."""
         self.group = group
-        pruned = {}
+        self.terms = {}
         if terms:
-            for g, c in (terms.items() if isinstance(terms, dict) else terms):
-                acc = pruned.get(g, 0) + c
-                if acc:
-                    pruned[g] = acc
-                else:
-                    pruned.pop(g, None)
-        self.terms = pruned
+            add = self.add_term
+            for key, c in (terms.items() if isinstance(terms, dict) else terms):
+                add(key, c)
+
+    def add_term(self, key, coeff):
+        """Add coeff at key; a key whose coefficients sum to zero is dropped."""
+        acc = self.terms.get(key)
+        s = coeff if acc is None else acc + coeff
+        if s:
+            self.terms[key] = s
+        elif acc is not None:
+            del self.terms[key]
+
+    def __add__(self, other):
+        out = type(self)(self.group)
+        out.terms = dict(self.terms)
+        add = out.add_term
+        for key, c in other.terms.items():
+            add(key, c)
+        return out
+
+    def __neg__(self):
+        out = type(self)(self.group)
+        out.terms = {key: -c for key, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+
+class GroupRingElement(_FormalSum):
+    """Finite integer combination of group elements."""
+
+    __slots__ = ()
 
     @staticmethod
     def zero(group):
@@ -48,25 +82,6 @@ class GroupRingElement:
     @staticmethod
     def unit(g, c=1):
         return GroupRingElement(g.group, {g: c})
-
-    def __add__(self, other):
-        # the constructor's rule, inlined: sums are the hot path of the checks
-        merged = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = merged.get(g, 0) + c
-            if acc:
-                merged[g] = acc
-            else:
-                del merged[g]
-        out = GroupRingElement(self.group)
-        out.terms = merged
-        return out
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         # scaling by a nonzero int or translating by an element merges no terms
@@ -77,9 +92,10 @@ class GroupRingElement:
         elif isinstance(other, GroupElement):
             out.terms = {g * other: c for g, c in self.terms.items()}
         elif isinstance(other, GroupRingElement):
-            return GroupRingElement(self.group, (
-                (g1 * g2, c1 * c2)
-                for g1, c1 in self.terms.items() for g2, c2 in other.terms.items()))
+            add = out.add_term
+            for g1, c1 in self.terms.items():
+                for g2, c2 in other.terms.items():
+                    add(g1 * g2, c1 * c2)
         else:
             return NotImplemented
         return out
@@ -89,12 +105,6 @@ class GroupRingElement:
     def augmentation(self) -> int:
         """Sum of coefficients (the image under ZG -> Z)."""
         return sum(self.terms.values())
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -148,72 +158,25 @@ def phi(index):
     return TensorGenerator(tuple(index))
 
 
-def degree3_indices(n):
-    """The degree-3 multi-indices in the order diag, iij, ijj, rst.
-
-    diag has 3 in one slot; iij and ijj follow the lexicographic pairs
-    i < j with (2 in i, 1 in j) resp. (1 in i, 2 in j); rst follows the
-    lexicographic triples.
-    """
-    def at(*positions):
-        return tuple(positions.count(p) for p in range(n))
-    return ([at(l, l, l) for l in range(n)]
-            + [at(i, i, j) for i, j in pair_indices(n)]
-            + [at(i, j, j) for i, j in pair_indices(n)]
-            + [at(r, s, t) for r, s, t in triple_indices(n)])
-
-
-class ChainVector:
+class ChainVector(_FormalSum):
     """Formal sum of generators of one complex with group ring coefficients."""
 
-    __slots__ = ("group", "terms")
-
-    def __init__(self, group):
-        self.group = group
-        self.terms = {}
+    __slots__ = ()
 
     def add_term(self, gen, coeff):
         # gen None: the normalized-zero symbol; contributes nothing
-        if gen is None or not coeff:
-            return
-        acc = self.terms.get(gen)
-        s = coeff if acc is None else acc + coeff
-        if s:
-            self.terms[gen] = s
-        else:
-            del self.terms[gen]
-
-    def __add__(self, other):
-        out = ChainVector(self.group)
-        for v in (self, other):
-            for gen, c in v.terms.items():
-                out.add_term(gen, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
+        if gen is not None:
+            _FormalSum.add_term(self, gen, coeff)
 
     def scaled(self, coeff):
-        out = ChainVector(self.group)
-        for gen, c in self.terms.items():
-            out.add_term(gen, coeff * c)
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ChainVector) and self.terms == other.terms
+        return ChainVector(self.group, ((gen, coeff * c) for gen, c in self.terms.items()))
 
     def __repr__(self):
         return f"ChainVector({self.terms!r})"
 
 
 def single(gen, coeff):
-    group = coeff.group
-    v = ChainVector(group)
-    v.add_term(gen, coeff)
-    return v
+    return ChainVector(coeff.group, ((gen, coeff),))
 
 
 def bar_differential(v: ChainVector) -> ChainVector:
@@ -425,23 +388,3 @@ def tensor_to_bar_cells(orders: tuple):
             cells.append(((x * N + y) * N + z, coeff.augmentation()))
         out.append(tuple(sorted(cells)))
     return tuple(out)
-
-
-def pullback_3cochain(f, group: Group, max_cells: int = 10 ** 6):
-    """Compose a tensor 3-cochain with the degree-3 comparison map phi_3.
-
-    f must expose value(index_tuple) -> Root on degree-3 multi-indices.
-    Coefficients act through the augmentation since the values carry the
-    trivial group action, so cell [x|y|z] takes the values of f weighted by
-    the augmented coefficients of chain_map([x|y|z]).  Those multiplicities
-    have a closed form in the digits and carries of x, y, z, which
-    cocycles._phi3_exponents evaluates on all of G^3 over one common
-    denominator (derived from phi_3 = s_T phi_2 d_B in notes/decisions.md).
-    Returns the induced table on G^3.
-    """
-    size = group.order ** 3
-    if size > max_cells:
-        raise ValueError(f"table would need {size} cells, above the {max_cells} bound")
-    L, nums = _common_denominator([f.value(index).exponent
-                                   for index in degree3_indices(group.rank)])
-    return CocycleTable._from_exponents(group, L, _phi3_exponents(group, nums, L))

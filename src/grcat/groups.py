@@ -8,6 +8,7 @@ fixed ordering.  Elements are exponent vectors reduced componentwise.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -22,6 +23,9 @@ class Group:
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        for m in self.orders:
+            if not isinstance(m, numbers.Integral):
+                raise ValueError(f"cyclic factor order {m!r} is not an integer")
         orders = tuple(int(m) for m in self.orders)
         if len(orders) == 0:
             raise ValueError("need at least one cyclic factor")

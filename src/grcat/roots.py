@@ -8,6 +8,7 @@ structural.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ class Root:
     exponent: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.exponent, numbers.Rational):
+            raise ValueError(f"root exponent must be rational, got {self.exponent!r}")
         object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
 
     @staticmethod

@@ -314,6 +314,18 @@ def test_param_validation():
         CocycleParams(Group((2, 2, 2)), (0, 0, 0), (0, 0, 0), (2,))
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_param_slots_must_be_integers(value):
+    # the documents' rule: a JSON integer, not a float, bool or string
+    with pytest.raises(ValueError, match=r"^diagonal exponent .* for factor 0 must be an "
+                                         r"integer$"):
+        CocycleParams(Group((4,)), (value,), (), ())
+    with pytest.raises(ValueError, match=r"^pair exponent .* for factors \(0, 1\) must"):
+        CocycleParams(Group((4, 2)), (0, 0), (value,), ())
+    with pytest.raises(ValueError, match=r"^triple exponent .* for factors \(0, 1, 2\)"):
+        CocycleParams(Group((2, 2, 2)), (0, 0, 0), (0, 0, 0), (value,))
+
+
 def test_build_table_cell_guard():
     group = Group((6, 4))
     a = zero_params(group)

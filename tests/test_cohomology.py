@@ -7,7 +7,7 @@ import random
 import pytest
 
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
-                            enumerate_params, table_from_doc,
+                            enumerate_params, pair_indices, table_from_doc,
                             verify_normalized, verify_pentagon)
 from grcat.cohomology import (CoboundaryWitness2, TensorCochain3,
                               all_ones_cochain, bar_coboundary_table,
@@ -377,3 +377,73 @@ def test_classify_rejects_unnormalized_cocycle():
     assert verify_normalized(table) is not None
     with pytest.raises(LookupError, match="not normalized"):
         classify(table)
+
+
+def random_witness(rng, group, scale=1):
+    return CoboundaryWitness2(group, tuple(
+        Root.of(rng.randrange(n), n)
+        for n in (group.orders[i] * group.orders[j] * scale
+                  for i, j in pair_indices(group.rank))))
+
+
+def tampered(rng, f):
+    """f with one value times a root of order 3, 5, 7 or 8."""
+    blocks = [list(f.diag), list(f.iij), list(f.ijj), list(f.rst)]
+    block = rng.choice([b for b in blocks if b])
+    k = rng.randrange(len(block))
+    block[k] = block[k] * Root.of(1, rng.choice((3, 5, 7, 8)))
+    return TensorCochain3(f.group, *blocks)
+
+
+@pytest.mark.parametrize("orders, digest", [
+    ((2, 2),
+     "b2541dbac290c3856751400d771113d3df0aca8e6e2a7a2b4c2fe26d6e778c8e"),
+    ((4, 2),
+     "7138cf8bef85e71945ac3589acb1abad08410db358808b9c4636bb820de24105"),
+    ((6, 4),
+     "336e2d70c8ea11e2b23d9647d3baa0130f30dc919749d0a36439e4ac37ea5aa8"),
+    ((2, 2, 2),
+     "829749221933eeab90011d7856ddae87af173ecb12dc83faeb181c60cb374a75"),
+    ((4, 3, 2),
+     "951852cbe8543aec38f4fd2476dbf8536017a69a2dc8cd856239567d46c177b1"),
+], ids=["Z2^2", "Z4xZ2", "Z6xZ4", "Z2^3", "Z4xZ3xZ2"])
+def test_tensor_side_pinned(orders, digest):
+    # normal form, witness, pullback and closure messages on seeded
+    # coboundary-shifted representatives, as they were computed on Root blocks
+    group = Group(orders)
+    rng = random.Random(f"tensor side {orders}")
+    params = enumerate_params(group)
+    lines = []
+    for _ in range(8):
+        a = rng.choice(params)
+        f = representative_cochain(a) * tensor_coboundary(
+            random_witness(rng, group, 2 ** 70 if rng.random() < 0.25 else 1))
+        got, witness = reduce_to_normal_form(f)
+        lines.append((got.diag, got.pairs, got.triples, [str(v) for v in witness.pairs]))
+        pulled = pullback_to_tensor(build_table(a) * random_bar_coboundary(rng, group))
+        lines.append([[str(v) for v in block]
+                      for block in (pulled.diag, pulled.iij, pulled.ijj, pulled.rst)])
+        lines.append(is_tensor_cocycle(tampered(rng, f)))
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
+
+
+def test_cochains_compare_canonically():
+    group = Group((4, 2))
+    halves = TensorCochain3(group, (Root.of(2, 4), one()), (one(),), (one(),), ())
+    assert halves == TensorCochain3(group, (Root.of(1, 2), one()), (one(),), (one(),), ())
+    assert hash(halves) == hash(representative_cochain(CocycleParams(group, (2, 0), (0,), ())))
+    f = representative_cochain(CocycleParams(group, (1, 1), (1,), ())) * tensor_coboundary(
+        random_witness(random.Random(5), group))
+    assert f / f == all_ones_cochain(group)
+    assert f != all_ones_cochain(group)
+
+
+def test_reduce_exact_beyond_int64():
+    # a witness value 3/2^70 is carried through the normal form exactly
+    group = Group((2, 2))
+    a = CocycleParams(group, (1, 0), (1,), ())
+    f = representative_cochain(a) * tensor_coboundary(
+        CoboundaryWitness2(group, (Root.of(3, 2 ** 70),)))
+    got, witness = reduce_to_normal_form(f)
+    assert got == a
+    assert representative_cochain(got) * tensor_coboundary(witness) == f

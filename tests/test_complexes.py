@@ -287,6 +287,9 @@ def test_pullback_cell_guard():
     a = enumerate_params(group)[0]
     with pytest.raises(ValueError):
         pullback_3cochain(representative_cochain(a), group, max_cells=10)
+    # the cochain's numerators are read in the slot order of its own group
+    with pytest.raises(ValueError, match="different group"):
+        pullback_3cochain(representative_cochain(a), Group((2, 4)))
 
 
 def test_contracting_homotopy_frozen_values():

@@ -34,6 +34,11 @@ def test_constructor_rejects_bad_orders():
         Group((2, 0))
     with pytest.raises(ValueError):
         Group((2, -3))
+    # orders are integers: no truncation of 2.9 to 2, no parsing of "2"
+    for bad in ((2.9,), (2.0,), ("2",), (2, None)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Group(bad)
+    assert Group((np.int64(4), 2)).orders == (4, 2)
 
 
 def test_basic_attributes():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grcat.roots import Root, canonical_root
@@ -25,6 +26,15 @@ def test_exponent_reduced_mod_one():
     assert Root(Fraction(5, 4)) == Root(Fraction(1, 4))
     assert Root(Fraction(-1, 4)) == Root(Fraction(3, 4))
     assert Root(Fraction(7)) == Root.one()
+
+
+def test_exponent_must_be_rational():
+    # a float would put a binary approximation into exact arithmetic
+    for bad in (0.1, 0.5, "1/2", None, complex(1, 0)):
+        with pytest.raises(ValueError, match="must be rational"):
+            Root(bad)
+    assert Root(3) == Root(np.int64(7)) == Root(Fraction(1, 1)) == Root.one()
+    assert Root(Fraction(1, 3)).order == 3
 
 
 def test_primitive_and_of():
