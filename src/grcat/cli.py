@@ -130,7 +130,7 @@ def _build_parser():
         add_common(p, params=True, table=True, max_cells=True)
     p = vsub.add_parser("chain-map", help="commutation of the comparison maps "
                                           "with the differentials")
-    add_common(p)
+    add_common(p, max_cells=True)
 
     p = sub.add_parser("classify", help="identify the cohomology class of a table")
     p.add_argument("--orders", help="optional cross-check of the table's orders")
@@ -209,7 +209,7 @@ def _run(args) -> int:
     if args.command == "verify":
         if args.subcommand == "chain-map":
             group = _parse_orders(args.orders)
-            results = verify_chain_map(group)
+            results = verify_chain_map(group, max_cells=args.max_cells)
             bad = {d: gen for d, gen in results.items() if gen is not None}
             if not bad:
                 _emit(args, {"holds": True}, "holds")

@@ -131,6 +131,10 @@ class TensorCochain3:
         p = len(pair_indices(n))
         if tuple(map(len, blocks)) != (n, p, p, len(triple_indices(n))):
             raise ValueError("value tuples do not match the index sets of the group")
+        for name, block in zip(("diag", "iij", "ijj", "rst"), blocks):
+            for v in block:
+                if not isinstance(v, Root):
+                    raise ValueError(f"{name} value {v!r} must be a Root")
         self._assign(group, *_common_denominator(
             [v.exponent for block in blocks for v in block]))
 

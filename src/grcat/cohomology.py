@@ -48,6 +48,9 @@ class CoboundaryWitness2:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         if len(self.pairs) != len(pair_indices(self.group.rank)):
             raise ValueError("need one witness value per factor pair")
+        for (i, j), v in zip(pair_indices(self.group.rank), self.pairs):
+            if not isinstance(v, Root):
+                raise ValueError(f"witness value {v!r} for factors ({i}, {j}) must be a Root")
 
     def value(self, i, j) -> Root:
         return self.pairs[pair_indices(self.group.rank).index((i, j))]

@@ -5,19 +5,29 @@ whose degree-m generators are m-tuples of non-identity group elements, and
 the Koszul-like tensor complex built from one periodic strand per cyclic
 factor.  The degree 0..3 comparison maps from the bar side to the tensor
 side turn small-complex cochains into explicit functions on G^3; the maps
-back turn functions on G^3 into small-complex cochains.  One recursion
-(_lift) builds both from the contracting homotopy of its target complex,
-contract on the bar side and contract_tensor on the tensor side; one helper
-(_extend) extends them linearly, and one square check (_first_failures)
-certifies that each commutes with the differentials.  Group ring elements
-and chain vectors share one formal-sum rule (_FormalSum).  The pullback
-through phi_3 lives in cocycles; pullback_3cochain is re-exported here.
+back turn functions on G^3 into small-complex cochains.
+
+The chain layer runs on element indices (Group.element_index, identity 0).
+A group ring coefficient is a dict from index to nonzero int, multiplied
+through the rows of Group.mul_table(); a chain is a dict from generator to
+coefficient, a bar symbol being a tuple of nonzero indices and a tensor
+generator its exponent tuple.  One recursion (_Map.lift) builds both maps
+from the contracting homotopy of its target complex, _contract on the bar
+side and _contract_tensor on the tensor side; _extend extends them
+linearly, and _Map.first_failures certifies that each commutes with the
+differentials.  Both maps are cached per group shape.  ChainVector,
+GroupRingElement, BarGenerator and TensorGenerator keep the public form,
+keyed on GroupElement; they share one formal-sum rule (_FormalSum) and are
+converted to and from indices only at the public entry points (_indices
+and _vector).  The pullback through phi_3 lives in cocycles;
+pullback_3cochain is re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .cocycles import degree3_indices, pullback_3cochain
@@ -179,55 +189,180 @@ def single(gen, coeff):
     return ChainVector(coeff.group, ((gen, coeff),))
 
 
-def bar_differential(v: ChainVector) -> ChainVector:
-    """Boundary of the normalized bar complex, degrees 1 to 3."""
-    out = ChainVector(v.group)
-    for gen, c in v.terms.items():
-        m = gen.degree
-        if not 1 <= m <= 3:
-            raise ValueError(f"bar differential defined in degrees 1..3, got {m}")
-        h = gen.elems
-        out.add_term(bar_generator(h[1:]), h[0] * c)
-        sign = 1
-        for i in range(1, m):
-            sign = -sign
-            merged = h[: i - 1] + (h[i - 1] * h[i],) + h[i + 1:]
-            out.add_term(bar_generator(merged), c * sign)
-        out.add_term(bar_generator(h[:-1]), c * (1 if m % 2 == 0 else -1))
+class _Shape:
+    """One group shape on element indices: multiplication rows and strand data."""
+
+    def __init__(self, orders):
+        self.group = group = Group(orders)
+        self.elements, self.mul = group.elements(), group.mul_table().tolist()
+        # place[l] is the index weight of factor l; twist and norm hold the
+        # strand coefficients g_l - 1 and 1 + g_l + ... + g_l^(m_l - 1)
+        self.place = [math.prod(group.orders[l + 1:]) for l in range(group.rank)]
+        self.twist = [{w: 1, 0: -1} for w in self.place]
+        self.norm = [{k * w: 1 for k in range(m)} for m, w in zip(group.orders, self.place)]
+        # strand[l][a % 2][g]: the indices g' with g' Phi_(a+1) a term of the
+        # strand homotopy s(g Phi_a) on factor l (see contract_tensor)
+        self.strand = [self._strand(m, w) for m, w in zip(group.orders, self.place)]
+
+    def _strand(self, m, w):
+        starts = [(g - g % (m * w), g // w % m) for g in range(len(self.elements))]
+        return ([tuple(base + k * w for k in range(e)) for base, e in starts],
+                [(base,) if e == m - 1 else () for base, e in starts])
+
+
+_shape = functools.lru_cache(maxsize=64)(_Shape)
+
+
+def _indices(shape, v: ChainVector, bar: bool) -> dict:
+    """v on indices; a bar symbol holding the identity is the normalized zero."""
+    idx = shape.group.element_index
+    out = {}
+    for gen, coeff in v.terms.items():
+        key = tuple(map(idx, gen.elems)) if bar else gen.index
+        if not (bar and 0 in key):
+            out[key] = {idx(g): c for g, c in coeff.terms.items()}
     return out
 
 
-def tensor_differential(v: ChainVector) -> ChainVector:
-    """Sum of the per-factor differentials: twist on odd, norm on even exponents."""
-    out = ChainVector(v.group)
-    group = v.group
-    for gen, c in v.terms.items():
-        if gen.degree > 4:
+def _generator(shape, key, bar: bool):
+    if bar:
+        return BarGenerator(tuple(shape.elements[i] for i in key))
+    return TensorGenerator(key)
+
+
+def _vector(shape, w: dict, bar: bool) -> ChainVector:
+    """The ChainVector of a chain on indices."""
+    out = ChainVector(shape.group)
+    for key, coeff in w.items():
+        out.terms[_generator(shape, key, bar)] = ring = GroupRingElement(shape.group)
+        ring.terms = {shape.elements[g]: c for g, c in coeff.items()}
+    return out
+
+
+def _add(out: dict, key, coeff: dict):
+    """Add coeff, a dict that no one else holds, at key; zero sums are dropped."""
+    acc = out.get(key)
+    if acc is None:
+        if coeff:
+            out[key] = coeff
+        return
+    for g, c in coeff.items():
+        s = acc.get(g, 0) + c
+        if s:
+            acc[g] = s
+        else:
+            del acc[g]
+    if not acc:
+        del out[key]
+
+
+def _rmul(mul, a: dict, b: dict, sign=1) -> dict:
+    """The group ring product sign * a * b, as a new dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a translate: the row of one element is a bijection, so nothing merges
+        (x, cx), = a.items()
+        row, cx = mul[x], cx * sign
+        return {row[y]: cx * cy for y, cy in b.items()}
+    out = {}
+    for x, cx in a.items():
+        row = mul[x]
+        cx *= sign
+        for y, cy in b.items():
+            k = row[y]
+            out[k] = out.get(k, 0) + cx * cy
+    return {k: c for k, c in out.items() if c}
+
+
+def _bar_differential(shape, v: dict) -> dict:
+    mul = shape.mul
+    out = {}
+    for h, c in v.items():
+        m = len(h)
+        if not 1 <= m <= 3:
+            raise ValueError(f"bar differential defined in degrees 1..3, got {m}")
+        row = mul[h[0]]
+        _add(out, h[1:], {row[g]: x for g, x in c.items()})
+        sign = 1
+        for i in range(1, m):
+            sign = -sign
+            merged = mul[h[i - 1]][h[i]]
+            if merged:
+                _add(out, h[: i - 1] + (merged,) + h[i + 1:],
+                     {g: sign * x for g, x in c.items()})
+        sign = 1 if m % 2 == 0 else -1
+        _add(out, h[:-1], {g: sign * x for g, x in c.items()})
+    return out
+
+
+def _tensor_differential(shape, v: dict) -> dict:
+    mul = shape.mul
+    out = {}
+    for a, c in v.items():
+        if sum(a) > 4:
             raise ValueError("tensor differential capped at degree 4")
-        a = gen.index
         sign = 1
         for i, ai in enumerate(a):
             if ai:
-                op = t_element(group, i) if ai % 2 else norm_element(group, i)
-                lowered = a[:i] + (ai - 1,) + a[i + 1:]
-                out.add_term(TensorGenerator(lowered), (op * c) * sign)
+                op = shape.twist[i] if ai % 2 else shape.norm[i]
+                _add(out, a[:i] + (ai - 1,) + a[i + 1:], _rmul(mul, op, c, sign))
             if ai % 2:
                 sign = -sign
     return out
 
 
-def _extend(image, v: ChainVector) -> ChainVector:
-    """Extend a map given on generators (image) linearly over group ring coefficients."""
-    out = ChainVector(v.group)
-    for gen, c in v.terms.items():
-        for tgen, tc in image(gen).terms.items():
-            out.add_term(tgen, c * tc)
+def _contract(shape, v: dict) -> dict:
+    out = {}
+    for h, coeff in v.items():
+        for g, c in coeff.items():
+            if g:
+                _add(out, (g,) + h, {0: c})
     return out
 
 
-def apply_chain_map(group, bar_vector: ChainVector) -> ChainVector:
-    """Extend the comparison map linearly over group ring coefficients."""
-    return _extend(lambda gen: chain_map(group, gen), bar_vector)
+def _contract_tensor(shape, v: dict) -> dict:
+    n = shape.group.rank
+    out = {}
+    for a, coeff in v.items():
+        top = max((l for l in range(n) if a[l]), default=0)
+        sign = (-1) ** sum(ar % 2 for ar in a[:top])
+        for l in range(top, n):
+            odd = a[l] % 2
+            targets = shape.strand[l][odd]
+            terms = {}
+            for g, c in coeff.items():
+                for t in targets[g]:
+                    terms[t] = terms.get(t, 0) + sign * c
+            _add(out, a[:l] + (a[l] + 1,) + a[l + 1:], {g: c for g, c in terms.items() if c})
+            if odd:
+                sign = -sign
+    return out
+
+
+def _extend(shape, image, v: dict) -> dict:
+    """Extend a map given on generators (image) linearly over group ring coefficients."""
+    mul = shape.mul
+    out = {}
+    for gen, c in v.items():
+        for tgen, tc in image(gen).items():
+            _add(out, tgen, _rmul(mul, c, tc))
+    return out
+
+
+def _on_indices(kernel, v: ChainVector, bar: bool) -> ChainVector:
+    shape = _shape(v.group.orders)
+    return _vector(shape, kernel(shape, _indices(shape, v, bar)), bar)
+
+
+def bar_differential(v: ChainVector) -> ChainVector:
+    """Boundary of the normalized bar complex, degrees 1 to 3."""
+    return _on_indices(_bar_differential, v, True)
+
+
+def tensor_differential(v: ChainVector) -> ChainVector:
+    """Sum of the per-factor differentials: twist on odd, norm on even exponents."""
+    return _on_indices(_tensor_differential, v, False)
 
 
 def contract(v: ChainVector) -> ChainVector:
@@ -237,20 +372,7 @@ def contract(v: ChainVector) -> ChainVector:
     into the symbol, and the identity gives the collapsed zero.  On the
     normalized complex d s + s d is the identity in positive degrees.
     """
-    group = v.group
-    one = GroupRingElement.unit(group.identity())
-    out = ChainVector(group)
-    for gen, coeff in v.terms.items():
-        for g, c in coeff.terms.items():
-            out.add_term(bar_generator((g,) + gen.elems), one * c)
-    return out
-
-
-def _strand_powers(a, e, m):
-    """The k with g^k Phi_(a+1) a term of s(g^e Phi_a) on a strand of order m."""
-    if a % 2 == 0:
-        return range(e)
-    return (0,) if e == m - 1 else ()
+    return _on_indices(_contract, v, True)
 
 
 def contract_tensor(v: ChainVector) -> ChainVector:
@@ -264,39 +386,75 @@ def contract_tensor(v: ChainVector) -> ChainVector:
     theirs, and the sign is (-1)^(number of odd a_r with r < l).  Then
     d s + s d = id - eta eps, where eta eps(g Phi_0) = Phi_0.
     """
-    group = v.group
-    orders = group.orders
-    n = group.rank
-    out = ChainVector(group)
-    for gen, coeff in v.terms.items():
-        a = gen.index
-        top = max((l for l in range(n) if a[l]), default=0)
-        for l in range(top, n):
-            sign = (-1) ** sum(ar % 2 for ar in a[:l])
-            above = (0,) * (n - l - 1)
-            terms = [(GroupElement(group, g.exps[:l] + (k,) + above), sign * c)
-                     for g, c in coeff.terms.items()
-                     for k in _strand_powers(a[l], g.exps[l], orders[l])]
-            out.add_term(TensorGenerator(a[:l] + (a[l] + 1,) + a[l + 1:]),
-                         GroupRingElement(group, terms))
-    return out
+    return _on_indices(_contract_tensor, v, False)
 
 
-def _lift(group, gen, base, contract, d_source, image):
-    """A comparison map on one generator, built from a contracting homotopy.
+class _Map:
+    """One comparison map on one group shape: psi (to_bar) or phi.
 
-    Degree 0 goes to base; in degrees 1..3 the image of gen is
-    contract(image(d_source gen)), with image extended linearly.  When
-    image commutes with the differentials below, image(d_source gen) is a
-    cycle of augmentation 0, so d contract + contract d = id - eta eps makes
-    the new square commute too (Brown, Cohomology of Groups, ch. I).
+    Degree 0 goes to base; in degrees 1..3 lift(gen) is
+    contract(image(d_source gen)), with image extended linearly, contract
+    the homotopy of the target complex.  When image commutes with the
+    differentials below, image(d_source gen) is a cycle of augmentation 0,
+    so d contract + contract d = id - eta eps makes the new square commute
+    too (Brown, Cohomology of Groups, ch. I).  image memoizes lift; the
+    recursion reads it only below degree 3.
     """
-    one = GroupRingElement.unit(group.identity())
-    if gen.degree == 0:
-        return single(base, one)
-    if gen.degree > 3:
-        raise ValueError(f"comparison map defined in degrees 0..3, got {gen.degree}")
-    return contract(_extend(image, d_source(single(gen, one))))
+
+    def __init__(self, shape, to_bar):
+        self.shape, self.to_bar = shape, to_bar
+        if to_bar:
+            self.base, self.degree = (), sum
+            self.contract, self.d_source, self.d_target = (
+                _contract, _tensor_differential, _bar_differential)
+        else:
+            self.base, self.degree = (0,) * shape.group.rank, len
+            self.contract, self.d_source, self.d_target = (
+                _contract_tensor, _bar_differential, _tensor_differential)
+        self.image = functools.cache(self.lift)
+
+    def below(self, gen):
+        """image(d_source gen), the chain that lift contracts."""
+        return _extend(self.shape, self.image, self.d_source(self.shape, {gen: {0: 1}}))
+
+    def lift(self, gen):
+        degree = self.degree(gen)
+        if degree == 0:
+            return {self.base: {0: 1}}
+        if degree > 3:
+            raise ValueError(f"comparison map defined in degrees 0..3, got {degree}")
+        return self.contract(self.shape, self.below(gen))
+
+    def first_failures(self, generators):
+        """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
+
+        Since image(x) is contract(below) with below = image(d_source(x)),
+        each square computes below once and compares d_target(contract(below))
+        with it.  generators(deg) lists the source generators of one degree
+        in lexicographic order.  Returns {1: None|gen, 2: None|gen, 3:
+        None|gen}, the value being the first generator where the square fails.
+        """
+        shape = self.shape
+
+        def fails(gen):
+            below = self.below(gen)
+            return self.d_target(shape, self.contract(shape, below)) != below
+        found = {deg: next(filter(fails, generators(deg)), None) for deg in (1, 2, 3)}
+        return {deg: None if key is None else _generator(shape, key, not self.to_bar)
+                for deg, key in found.items()}
+
+
+@functools.lru_cache(maxsize=64)
+def _comparison(orders, to_bar) -> _Map:
+    """psi or phi per group shape, so a standalone call reuses the images below it."""
+    return _Map(_shape(orders), to_bar)
+
+
+def apply_chain_map(group, bar_vector: ChainVector) -> ChainVector:
+    """Extend the comparison map linearly over group ring coefficients."""
+    m = _comparison(group.orders, False)
+    return _vector(m.shape, _extend(m.shape, m.lift, _indices(m.shape, bar_vector, True)),
+                   False)
 
 
 def chain_map(group: Group, gen: BarGenerator) -> ChainVector:
@@ -305,8 +463,7 @@ def chain_map(group: Group, gen: BarGenerator) -> ChainVector:
     phi_0([]) = Phi(0, .., 0) and phi_n(x) = s_T(phi_(n-1)(d_B x)), with s_T
     the tensor complex's contracting homotopy (contract_tensor).
     """
-    return _lift(group, gen, TensorGenerator((0,) * group.rank), contract_tensor,
-                 bar_differential, lambda g: chain_map(group, g))
+    return apply_chain_map(group, single(gen, GroupRingElement.unit(group.identity())))
 
 
 def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
@@ -315,44 +472,24 @@ def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
     psi_0(Phi_0) = [] and psi_n(Phi) = s(psi_(n-1)(d_T Phi)), with s the bar
     complex's contracting homotopy (contract).
     """
-    return _lift(group, gen, BarGenerator(()), contract, tensor_differential,
-                 lambda g: tensor_to_bar(group, g))
+    m = _comparison(group.orders, True)
+    return _vector(m.shape, m.lift(gen.index), True)
 
 
-def _first_failures(group, generators, base, contract, d_source, d_target):
-    """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
-
-    image is the map that _lift builds from base and contract, memoized
-    here.  Since image(x) is contract(below) with below = image(d_source(x)),
-    each square computes below once and compares d_target(contract(below))
-    with it; only images below degree 3 are read, so only those are kept.
-    generators(deg) lists the source generators of one degree in
-    lexicographic order.  Returns {1: None|gen, 2: None|gen, 3: None|gen},
-    the value being the first generator where the square fails.
-    """
-    one = GroupRingElement.unit(group.identity())
-
-    @functools.cache
-    def image(gen):
-        return _lift(group, gen, base, contract, d_source, image)
-
-    def fails(gen):
-        below = _extend(image, d_source(single(gen, one)))
-        return d_target(contract(below)) != below
-    return {deg: next(filter(fails, generators(deg)), None) for deg in (1, 2, 3)}
-
-
-def verify_chain_map(group: Group):
+def verify_chain_map(group: Group, max_cells: int = 10 ** 6):
     """Check that phi commutes with the differentials, degree by degree.
 
     Returns {1: None|gen, 2: None|gen, 3: None|gen}, the value being the
-    first bar generator (lexicographic) where the square fails.
+    first bar generator (lexicographic) where the square fails.  The
+    degree-3 squares take about |G|^4 steps; refuses when that is above
+    max_cells.
     """
-    nonid = [x for x in group.elements() if not x.is_identity()]
-    return _first_failures(
-        group, lambda deg: map(BarGenerator, itertools.product(nonid, repeat=deg)),
-        TensorGenerator((0,) * group.rank), contract_tensor,
-        bar_differential, tensor_differential)
+    N = group.order
+    if N ** 4 > max_cells:
+        raise ValueError(f"chain-map check would need {N ** 4} cells (|G|^4), "
+                         f"above the {max_cells} bound")
+    return _Map(_shape(group.orders), False).first_failures(
+        lambda deg: itertools.product(range(1, N), repeat=deg))
 
 
 def verify_tensor_to_bar(group: Group):
@@ -362,12 +499,9 @@ def verify_tensor_to_bar(group: Group):
     first tensor generator (lexicographic in its index) where the square
     fails.
     """
-    def generators(deg):
-        return (TensorGenerator(index)
-                for index in itertools.product(range(deg + 1), repeat=group.rank)
-                if sum(index) == deg)
-    return _first_failures(group, generators, BarGenerator(()), contract,
-                           tensor_differential, bar_differential)
+    return _Map(_shape(group.orders), True).first_failures(
+        lambda deg: (index for index in itertools.product(range(deg + 1), repeat=group.rank)
+                     if sum(index) == deg))
 
 
 @functools.lru_cache(maxsize=32)
@@ -378,13 +512,8 @@ def tensor_to_bar_cells(orders: tuple):
     multiplicity) pairs: the cell is the index of [x|y|z] in the G^3 layout
     of CocycleTable, the multiplicity the augmentation of its coefficient.
     """
-    group = Group(orders)
-    N = group.order
-    out = []
-    for index in degree3_indices(group.rank):
-        cells = []
-        for bgen, coeff in tensor_to_bar(group, TensorGenerator(index)).terms.items():
-            x, y, z = (group.element_index(e) for e in bgen.elems)
-            cells.append(((x * N + y) * N + z, coeff.augmentation()))
-        out.append(tuple(sorted(cells)))
-    return tuple(out)
+    m = _comparison(orders, True)
+    N = m.shape.group.order
+    return tuple(tuple(sorted(((x * N + y) * N + z, sum(coeff.values()))
+                              for (x, y, z), coeff in m.lift(index).items()))
+                 for index in degree3_indices(len(orders)))

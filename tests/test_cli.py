@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from grcat import complexes
 from grcat.cli import main, params_literal, parse_params_literal
 from grcat.cocycles import (CocycleParams, build_table, enumerate_params,
                             params_to_doc, table_to_json)
@@ -52,6 +54,30 @@ def test_verify_symmetry_failure_exit_code(capsys):
 
 def test_verify_chain_map(capsys):
     code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "4,3")
+    assert code == 0 and json.loads(out) == {"holds": True}
+
+
+def test_verify_chain_map_size_guard(capsys, monkeypatch):
+    # the degree-3 squares take about |G|^4 steps: 64^4 is above the default
+    # bound, so Z_8^2 is refused with one line before any work is done
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "chain-map", "--orders", "8,8")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("grcat: ") and "bound" in err
+    # the bound is |G|^4 itself: Z_4 has 256
+    code, out, err = run_cli(capsys, "verify", "chain-map", "--orders", "4",
+                             "--max-cells", "255")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "4",
+                           "--max-cells", "256")
+    assert code == 0 and json.loads(out) == {"holds": True}
+    # a larger --max-cells lets Z_8^2 through; the squares themselves are
+    # stubbed so that the test stays fast
+    monkeypatch.setattr(complexes._Map, "first_failures",
+                        lambda self, generators: {1: None, 2: None, 3: None})
+    code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "8,8",
+                           "--max-cells", str(64 ** 4))
     assert code == 0 and json.loads(out) == {"holds": True}
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_cochain_shape_validation():
     other = all_ones_cochain(Group((3,)))
     with pytest.raises(ValueError):
         all_ones_cochain(group) * other
+
+
+@pytest.mark.parametrize("bad", [0.5, 1, "1/2", Fraction(1, 2), None],
+                         ids=["float", "int", "str", "Fraction", "None"])
+def test_values_must_be_roots(bad):
+    # a non-Root value is refused at construction with one line, as Root,
+    # Group and CocycleParams refuse theirs
+    z2sq, z2cube = Group((2, 2)), Group((2, 2, 2))
+    with pytest.raises(ValueError, match=r"^witness value .* \(0, 1\) must be a Root$"):
+        CoboundaryWitness2(z2sq, (bad,))
+    for group, name, values in (
+            (z2sq, "diag", ([one(), bad], [one()], [one()], [])),
+            (z2sq, "iij", ([one()] * 2, [bad], [one()], [])),
+            (z2sq, "ijj", ([one()] * 2, [one()], [bad], [])),
+            (z2cube, "rst", ([one()] * 3, [one()] * 3, [one()] * 3, [bad]))):
+        with pytest.raises(ValueError, match=f"^{name} value .* must be a Root$"):
+            TensorCochain3(group, *values)
 
 
 def test_tensor_cocycle_examples():

@@ -193,21 +193,38 @@ def test_chain_map_commutes_order_sixteen_spots():
         assert failures == {1: None, 2: None, 3: None}, orders
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_chain_map_check_reports_first_failure(monkeypatch, k):
-    # with s_T replaced by zero on degree k - 1, phi_k vanishes and the square
-    # in degree k fails, first at the lexicographically least generator; the
-    # degrees above lift the zero map and commute again
-    group = Group((2, 2))
-    real_contract = complexes.contract_tensor
+def test_chain_map_check_size_guard():
+    # refused before any work when |G|^4 is above max_cells; the order-16
+    # groups above are inside the default bound
+    with pytest.raises(ValueError, match="above the 1000000 bound"):
+        verify_chain_map(Group((2, 2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="above the 15 bound"):
+        verify_chain_map(Group((2,)), max_cells=15)
+    assert verify_chain_map(Group((2,)), max_cells=16) == {1: None, 2: None, 3: None}
 
-    def broken(v):
-        if any(gen.degree == k - 1 for gen in v.terms):
-            return ChainVector(v.group)
-        return real_contract(v)
-    monkeypatch.setattr(complexes, "contract_tensor", broken)
+
+@pytest.mark.parametrize("orders, k, first", [
+    ((2, 2), 1, [(0, 1)]),
+    ((2, 2), 2, [(0, 1)] * 2),
+    ((2, 2), 3, [(0, 1)] * 3),
+    ((4, 4), 3, [(0, 1), (0, 1), (0, 3)]),
+], ids=["1", "2", "3", "Z4^2-3"])
+def test_chain_map_check_reports_first_failure(monkeypatch, orders, k, first):
+    # with s_T replaced by zero on degree k - 1, phi_k vanishes and the square
+    # in degree k fails, first at the lexicographically least generator whose
+    # phi_(k-1)(d x) is nonzero; the degrees above lift the zero map and
+    # commute again.  The patch sits on the index-level homotopy that the
+    # recursion calls; chains there are dicts keyed on exponent tuples.
+    group = Group(orders)
+    real_contract = complexes._contract_tensor
+
+    def broken(shape, v):
+        if any(sum(gen) == k - 1 for gen in v):
+            return {}
+        return real_contract(shape, v)
+    monkeypatch.setattr(complexes, "_contract_tensor", broken)
     failures = verify_chain_map(group)
-    first = BarGenerator((group.element((0, 1)),) * k)
+    first = BarGenerator(tuple(group.element(e) for e in first))
     assert failures == {deg: first if deg == k else None for deg in (1, 2, 3)}
 
 
@@ -392,9 +409,26 @@ def test_tensor_to_bar_commutes_with_differentials():
 def test_tensor_to_bar_check_reports_first_failure(monkeypatch):
     # with s replaced by zero, psi vanishes above degree 0 and only the
     # degree-1 square fails, first at the lexicographically least index
-    monkeypatch.setattr(complexes, "contract", lambda v: ChainVector(v.group))
+    monkeypatch.setattr(complexes, "_contract", lambda shape, v: {})
     failures = verify_tensor_to_bar(Group((2, 2)))
     assert failures == {1: phi((0, 1)), 2: None, 3: None}
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (4, 2), (4, 4)], ids=["Z2^2", "Z4xZ2", "Z4^2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tensor_to_bar_check_reports_first_failure_by_degree(monkeypatch, orders, k):
+    # with s replaced by zero on bar chains of degree k - 1, psi_k vanishes
+    # and the square in degree k fails, first at Phi(0, k), the least index
+    # of degree k; the degrees above lift the zero map and commute again
+    real_contract = complexes._contract
+
+    def broken(shape, v):
+        if any(len(gen) == k - 1 for gen in v):
+            return {}
+        return real_contract(shape, v)
+    monkeypatch.setattr(complexes, "_contract", broken)
+    failures = verify_tensor_to_bar(Group(orders))
+    assert failures == {deg: phi((0, k)) if deg == k else None for deg in (1, 2, 3)}
 
 
 def test_tensor_to_bar_cells_flatten_the_images():
@@ -410,3 +444,13 @@ def test_tensor_to_bar_cells_flatten_the_images():
             x, y, z = (group.element_index(e) for e in gen.elems)
             expected[(x * N + y) * N + z] = coeff.augmentation()
         assert dict(flat) == expected, index
+
+
+@pytest.mark.parametrize("orders, digest", [
+    ((4, 3), "5ae4d4e22ddcb5a6f8dce3d07ea891e338ff67fa34f0cac5016a47e7dabf2818"),
+    ((2, 2, 2, 2), "320413a502765d3dec7f2fef1fea063f18f7e7956cb25bd4c59d9ce62f3e087f"),
+], ids=["Z4xZ3", "Z2^4"])
+def test_tensor_to_bar_cells_pinned(orders, digest):
+    # psi_3 as (cell, multiplicity) lists, as the GroupElement-keyed
+    # recursion gave them
+    assert hashlib.sha256(repr(tensor_to_bar_cells(orders)).encode()).hexdigest() == digest
