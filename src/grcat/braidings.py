@@ -24,7 +24,7 @@ import numpy as np
 from .cocycles import (CocycleParams, _int_dtype, build_table, pair_indices,
                        triple_indices)
 from .groups import Group, GroupElement
-from .roots import Root
+from .roots import Root, _common_denominator
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,22 @@ class QuasiBicharacter:
             raise ValueError(f"need an {n} x {n} matrix of generator-pair values")
 
 
+def _numerators(R: QuasiBicharacter, L: int = 1):
+    """(L', r): R's generator-pair values as an n x n list of integer
+    numerators over L', the least common multiple of L and their
+    denominators.  A value that is not a Root raises ValueError."""
+    n = R.group.rank
+    L, nums = _common_denominator([v for row in R.r for v in row], "braiding value", L)
+    return L, [nums[s * n:(s + 1) * n] for s in range(n)]
+
+
 def eval_R(R: QuasiBicharacter, x: GroupElement, y: GroupElement) -> Root:
     """Product-formula value on one pair: the product of r[s][t]^(i_s * j_t)."""
     if x.group != R.group or y.group != R.group:
         raise ValueError("element factorization does not match the braiding")
-    total = Fraction(0)
-    for s, i_s in enumerate(x.exps):
-        if not i_s:
-            continue
-        for t, j_t in enumerate(y.exps):
-            if j_t:
-                total += R.r[s][t].exponent * (i_s * j_t)
-    return Root(total)
+    L, r = _numerators(R)
+    return Root(Fraction(sum(r[s][t] * i_s * j_t for s, i_s in enumerate(x.exps)
+                             for t, j_t in enumerate(y.exps)), L))
 
 
 def braiding_exists(a: CocycleParams):
@@ -209,15 +213,13 @@ def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
     if R.group != a.group:
         raise ValueError("braiding and parameters live over different groups")
     group = a.group
-    Lw, _ = _hexagon_offsets(a)
-    L = math.lcm(Lw, *(v.exponent.denominator for row in R.r for v in row))
-    r = [[[v.exponent.numerator * (L // v.exponent.denominator) for v in row]
-          for row in R.r]]
-    table = _product_form(group, r, L)
-    if _hexagons_hold(a, table, L, lo=1)[0]:
-        return None
+    L, r = _numerators(R, _hexagon_offsets(a)[0])
+    table = _product_form(group, [r], L)
     bad1, bad2 = (_hexagon_residual(a, which, table, L, 1)[0] != 0 for which in (1, 2))
-    first = int((bad1 | bad2).argmax())
+    bad = bad1 | bad2
+    if not bad.any():
+        return None
+    first = int(bad.argmax())
     K = group.order - 1
     x, y, z = (group.from_index(int(i) + 1) for i in np.unravel_index(first, (K, K, K)))
     return (x, y, z, 1 if bad1[first] else 2)
@@ -260,8 +262,12 @@ def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6):
 def braiding_function_table(R: QuasiBicharacter) -> dict:
     """The full function on G x G induced by the product formula."""
     group = R.group
-    return {(x, y): eval_R(R, x, y)
-            for x in group.elements() for y in group.elements()}
+    L, r = _numerators(R)
+    table = _product_form(group, [r], L)[0]
+    roots = {k: Root(Fraction(k, L)) for k in np.unique(table).tolist()}
+    elems = group.elements()
+    return {(x, y): roots[k] for x, row in zip(elems, table.tolist())
+            for y, k in zip(elems, row)}
 
 
 def brute_force_full_function_space(a: CocycleParams, values_order: int,

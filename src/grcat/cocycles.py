@@ -135,8 +135,7 @@ class TensorCochain3:
             for v in block:
                 if not isinstance(v, Root):
                     raise ValueError(f"{name} value {v!r} must be a Root")
-        self._assign(group, *_common_denominator(
-            [v.exponent for block in blocks for v in block]))
+        self._assign(group, *_common_denominator([v for block in blocks for v in block]))
 
     @classmethod
     def _from_exponents(cls, group: Group, L: int, nums):
@@ -276,8 +275,9 @@ class CocycleTable:
     array of shape (N, N, N) indexed by element indices in lexicographic
     exponent order.  values, the same function as a tuple of Root in the
     flat layout ((ix * N) + iy) * N + iz, is built on first use.
-    Construction does not require the values to satisfy any identity; the
-    verify_* functions decide that on (L, w).
+    Construction takes only Root values (ValueError otherwise) but does not
+    require them to satisfy any identity; the verify_* functions decide that
+    on (L, w).
     """
 
     __slots__ = ("group", "_L", "_w", "_values")
@@ -287,7 +287,7 @@ class CocycleTable:
         n = group.order
         if len(values) != n ** 3:
             raise ValueError(f"need {n ** 3} values for |G| = {n}, got {len(values)}")
-        L, nums = _common_denominator([v.exponent for v in values])
+        L, nums = _common_denominator(values, "table value")
         self._assign(group, L, np.array(nums, dtype=_int_dtype(5 * L)).reshape(n, n, n))
         self._values = values
 

@@ -26,10 +26,9 @@ import numpy as np
 from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _int_dtype,
                        degree3_indices, pair_indices, representative_cochain,
                        slot_moduli, triple_indices, verify_normalized, verify_pentagon)
-from .complexes import (BarGenerator, GroupRingElement, bar_differential, single,
-                        tensor_to_bar_cells)
+from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
-from .intlinalg import smith_normal_form, solve_exponents, solve_mod1
+from .intlinalg import smith_normal_form, solve_exponents
 from .roots import Root, _common_denominator
 
 
@@ -66,7 +65,7 @@ def tensor_coboundary(witness: CoboundaryWitness2) -> TensorCochain3:
     n = group.rank
     orders = group.orders
     pairs = pair_indices(n)
-    L, ws = _common_denominator([v.exponent for v in witness.pairs])
+    L, ws = _common_denominator(witness.pairs)
     return TensorCochain3._from_exponents(
         group, L, [0] * n + [w * orders[i] for w, (i, _) in zip(ws, pairs)]
         + [-w * orders[j] for w, (_, j) in zip(ws, pairs)] + [0] * len(triple_indices(n)))
@@ -103,19 +102,21 @@ def is_tensor_coboundary(f: TensorCochain3):
 
     Requires trivial diagonal and triple components; per pair the two power
     equations g^(m_i) = f_iij, g^(-m_j) = f_ijj are solved simultaneously
-    over Q/Z.
+    over Q/Z, on f's numerators.
     """
     group = f.group
     orders = group.orders
-    diag, _, _, rst = f._blocks()
+    L, _ = f.exponents()
+    diag, iij, ijj, rst = f._blocks()
     if any(diag) or any(rst):
         return None
     witness = []
-    for (i, j), a, b in zip(pair_indices(group.rank), f.iij, f.ijj):
-        sol = solve_mod1([[orders[i]], [-orders[j]]], [a, b])
+    for (i, j), a, b in zip(pair_indices(group.rank), iij, ijj):
+        sol = solve_exponents(smith_normal_form([[orders[i]], [-orders[j]]]), L, [a, b])
         if sol is None:
             return None
-        witness.append(sol[0])
+        den, (k,) = sol
+        witness.append(Root(Fraction(k, den)))
     return CoboundaryWitness2(group, tuple(witness))
 
 
@@ -163,27 +164,30 @@ def reduce_to_normal_form(f: TensorCochain3):
 
 @lru_cache(maxsize=32)
 def _bar_system(orders: tuple):
-    """(Smith decomposition, column pairs) of the system "is this G^3 table a
-    coboundary".
+    """Smith decomposition of the system "is this G^3 table a coboundary".
 
     Unknowns: b(x,y) for non-identity x, y, one column per pair.  One row per
-    non-identity triple, read off the augmentation of bar_differential([x|y|z]).
-    Rows and columns run in lexicographic element order, so the rows follow
-    the cells of w[1:, 1:, 1:] in C order.  Equations at triples with an
-    identity argument are identically zero on both sides for normalized
-    inputs, so they are omitted.
+    non-identity triple, read off its augmented boundary (bar_boundary_cells).
+    Rows and columns run in C order of the element indices, so the rows
+    follow the cells of w[1:, 1:, 1:] and the columns those of b[1:, 1:].
+    Equations at triples with an identity argument are identically zero on
+    both sides for normalized inputs, so they are omitted.
     """
-    group = Group(orders)
-    nonid = [x for x in group.elements() if not x.is_identity()]
-    col = {pair: idx for idx, pair in enumerate(itertools.product(nonid, nonid))}
-    one = GroupRingElement.unit(group.identity())
-    rows = []
-    for triple in itertools.product(nonid, repeat=3):
-        row = [0] * len(col)
-        for gen, c in bar_differential(single(BarGenerator(triple), one)).terms.items():
-            row[col[gen.elems]] += c.augmentation()
-        rows.append(row)
-    return smith_normal_form(rows), list(col)
+    columns = range((math.prod(orders) - 1) ** 2)
+    return smith_normal_form([[row.get(j, 0) for j in columns]
+                              for row in map(dict, bar_boundary_cells(orders))])
+
+
+def _bar_coboundary(group: Group, L: int, nums) -> CocycleTable:
+    """The table of db, for b given by its numerators over L on the
+    non-identity pairs in C order of the element indices."""
+    N = group.order
+    B = np.zeros((N, N), dtype=_int_dtype(5 * L))
+    B[1:, 1:] = np.array(nums, dtype=B.dtype).reshape(N - 1, N - 1)
+    mul = group.mul_table()
+    x = np.arange(N)[:, None, None]
+    w = B[None] - B[mul] + B[x, mul] - B[:, :, None]
+    return CocycleTable._from_exponents(group, L, w % L)
 
 
 def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
@@ -192,16 +196,9 @@ def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
     (db)(x, y, z) = b(y, z) b(xy, z)^-1 b(x, yz) b(x, y)^-1, with b read on
     pairs of non-identity elements and 1 on the others.
     """
-    N = group.order
     elems = group.elements()
-    L, nums = _common_denominator([b[(p, q)].exponent
-                                   for p in elems[1:] for q in elems[1:]])
-    B = np.zeros((N, N), dtype=_int_dtype(5 * L))
-    B[1:, 1:] = np.array(nums, dtype=B.dtype).reshape(N - 1, N - 1)
-    mul = group.mul_table()
-    x = np.arange(N)[:, None, None]
-    w = B[None] - B[mul] + B[x, mul] - B[:, :, None]
-    return CocycleTable._from_exponents(group, L, w % L)
+    return _bar_coboundary(group, *_common_denominator(
+        [b[(p, q)] for p in elems[1:] for q in elems[1:]], "witness value"))
 
 
 def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
@@ -215,21 +212,18 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
     if group.order > max_group_order:
         raise ValueError(
             f"group order {group.order} above the {max_group_order} bound")
-    snf, cols = _bar_system(group.orders)
     L, w = t.exponents()
-    sol = solve_exponents(snf, L, w[1:, 1:, 1:].reshape(-1).tolist())
+    sol = solve_exponents(_bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1).tolist())
     if sol is None:
         return None
     den, nums = sol
-    witness = {}
-    for x in group.elements():
-        for y in group.elements():
-            if x.is_identity() or y.is_identity():
-                witness[(x, y)] = Root.one()
-    for pair, k in zip(cols, nums):
-        witness[pair] = Root(Fraction(k, den))
-    if bar_coboundary_table(group, witness) != t:
+    if _bar_coboundary(group, den, nums) != t:
         raise ValueError("table is not a normalized cocycle")
+    elems = group.elements()
+    roots = {k: Root(Fraction(k, den)) for k in {0, *nums}}
+    witness = {(x, y): roots[0] for x, y in itertools.product(elems, repeat=2)
+               if x.is_identity() or y.is_identity()}
+    witness.update(zip(itertools.product(elems[1:], repeat=2), map(roots.get, nums)))
     return witness
 
 

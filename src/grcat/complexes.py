@@ -517,3 +517,15 @@ def tensor_to_bar_cells(orders: tuple):
     return tuple(tuple(sorted(((x * N + y) * N + z, sum(coeff.values()))
                               for (x, y, z), coeff in m.lift(index).items()))
                  for index in degree3_indices(len(orders)))
+
+
+def bar_boundary_cells(orders: tuple):
+    """The augmented boundary of each non-identity [x|y|z], in C order of indices,
+    as (cell, multiplicity) pairs like tensor_to_bar_cells: the cell of [p|q] is
+    (p - 1)(N - 1) + q - 1, its place among the non-identity pairs."""
+    shape = _shape(orders)
+    K = shape.group.order - 1
+    boundaries = (_bar_differential(shape, {h: {0: 1}})
+                  for h in itertools.product(range(1, K + 1), repeat=3))
+    return tuple(tuple(sorted(((p - 1) * K + q - 1, sum(coeff.values()))
+                              for (p, q), coeff in d.items())) for d in boundaries)

@@ -6,7 +6,7 @@ nonzero entry}: the largest system, the bar coboundary system of Z_4 x Z_3,
 is 1331 x 121 with at most four nonzeros per row, and its u stays 1.4%
 nonzero.  The decomposition keeps d as its diagonal; the dense u, d, v are
 views, and matmul is the dense product.  solve_exponents solves over Q/Z on
-integer numerators; Root appears only in its wrappers.
+integer numerators; Root appears only in its wrapper solve_mod1.
 """
 
 from __future__ import annotations
@@ -196,18 +196,14 @@ def solve_exponents(snf, L, nums):
     return L2, [sum(e * y[j] for j, e in row.items()) % L2 for row in snf.v_rows]
 
 
-def solve_with_snf(snf, v):
-    """Solve mat*x = v over Q/Z given a precomputed decomposition of mat.
+def solve_mod1(mat, v):
+    """Find x with mat*x = v in Q/Z (entries as Root); None when unsolvable.
 
-    v is a sequence of Root; returns a list of Root or None when unsolvable.
+    The Root wrapper of solve_exponents; a value of v that is not a Root
+    raises ValueError.
     """
-    sol = solve_exponents(snf, *_common_denominator([r.exponent for r in v]))
+    sol = solve_exponents(smith_normal_form(mat), *_common_denominator(v, "right-hand value"))
     if sol is None:
         return None
     L, nums = sol
     return [Root(Fraction(k, L)) for k in nums]
-
-
-def solve_mod1(mat, v):
-    """Find x with mat*x = v in Q/Z (entries as Root); None when unsolvable."""
-    return solve_with_snf(smith_normal_form(mat), v)

@@ -71,10 +71,15 @@ class Root:
         return f"Root({self})"
 
 
-def _common_denominator(fracs):
-    """(L, nums): the fractions as integer numerators over their least common
-    denominator L."""
-    L = math.lcm(*(f.denominator for f in fracs))
+def _common_denominator(roots, what="value", L=1):
+    """(L', nums): the exponents of roots as integer numerators over L', the lcm
+    of L and their denominators; "<what> <v> must be a Root" (ValueError) for
+    a value v that is not a Root."""
+    for v in roots:
+        if not isinstance(v, Root):
+            raise ValueError(f"{what} {v!r} must be a Root")
+    fracs = [v.exponent for v in roots]
+    L = math.lcm(L, *(f.denominator for f in fracs))
     return L, [f.numerator * (L // f.denominator) for f in fracs]
 
 

@@ -42,6 +42,17 @@ def test_eval_R_examples():
         eval_R(R, four.identity(), four.identity())
 
 
+def test_braiding_values_must_be_roots():
+    # the values are read where their exponents are used, not at construction
+    z2 = Group((2,))
+    g = z2.generator(0)
+    R = QuasiBicharacter(z2, [[0.5]])
+    for read in (lambda: verify_hexagons(zero_params(z2), R), lambda: eval_R(R, g, g),
+                 lambda: braiding_function_table(R)):
+        with pytest.raises(ValueError, match=r"^braiding value 0\.5 must be a Root$"):
+            read()
+
+
 def test_quasibicharacter_shape_check():
     group = Group((2, 2))
     with pytest.raises(ValueError):

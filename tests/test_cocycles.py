@@ -326,6 +326,14 @@ def test_param_slots_must_be_integers(value):
         CocycleParams(Group((2, 2, 2)), (0, 0, 0), (0, 0, 0), (value,))
 
 
+@pytest.mark.parametrize("value", [0.5, 1, Fraction(1, 2)], ids=["float", "int", "Fraction"])
+def test_table_values_must_be_roots(value):
+    with pytest.raises(ValueError, match=r"^table value .* must be a Root$"):
+        CocycleTable(Group((2,)), [value] * 8)
+    with pytest.raises(ValueError, match=r"^table value .* must be a Root$"):
+        CocycleTable(Group((2,)), [Root.one()] * 7 + [value])
+
+
 def test_build_table_cell_guard():
     group = Group((6, 4))
     a = zero_params(group)

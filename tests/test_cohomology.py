@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from grcat import cohomology
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
                             enumerate_params, pair_indices, table_from_doc,
                             verify_normalized, verify_pentagon)
@@ -333,7 +334,13 @@ def test_bar_coboundary_exact_witness_beyond_int64(orders, den):
 @pytest.mark.parametrize("orders, seed, digest", [
     ((4, 2), 83, "7cecafc259655984f5e86433eb49db41a714f7c8d7f707e84b8e7b6735e5748d"),
     ((2, 2, 2), 89, "98e04b5b6852e6fb0addf3dd673b2bdc823fce8494ca324e30fbe092568723bc"),
-], ids=["Z4xZ2", "Z2^3"])
+    ((2,), 97, "1de0f30b333586d6d8d56111f9bb263f6034c974e9f15078a6138aee93ec352f"),
+    ((3,), 101, "1eab5b6ecf0cd3ff119b5533c740e97820f3f12e2057c994ffba5e73046b4e80"),
+    ((2, 2), 103, "e831181674f0cf07fe4276c2372bc3971c889ec5076765ff66fb7ef270457901"),
+    ((3, 3), 107, "81a54ecbd2c48ba5f3558216a32d1e6dbfe5455176e2d987a60d1bca3259a6dd"),
+    ((4, 3), 109, "8c899b159ce2a177bb4e8eb2ab3c2e7ce3ecf0777657c749dd93b42829f13374"),
+    ((6, 2), 113, "e8817b7c269b282dd1d652c6a8f6b90c4fe48b594b6135175bd0ddbe952c30d6"),
+], ids=["Z4xZ2", "Z2^3", "Z2", "Z3", "Z2^2", "Z3^2", "Z4xZ3", "Z6xZ2"])
 def test_bar_coboundary_witness_is_pinned(orders, seed, digest):
     group = Group(orders)
     w = is_bar_coboundary(random_bar_coboundary(random.Random(seed), group))
@@ -345,6 +352,66 @@ def test_bar_coboundary_witness_is_pinned(orders, seed, digest):
                        + [p for p in pairs if not (p[0].is_identity() or p[1].is_identity())])
     items = sorted((x.exps, y.exps, str(v)) for (x, y), v in w.items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+
+
+EIGHT_GROUPS = [(2,), (3,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (4, 3), (6, 2)]
+EIGHT_IDS = ["Z2", "Z3", "Z2^2", "Z4xZ2", "Z3^2", "Z2^3", "Z4xZ3", "Z6xZ2"]
+
+
+@pytest.mark.parametrize("orders, digest", zip(EIGHT_GROUPS, [
+    "4319a2fb7977d757e3f143902141c0191eea33b44613fdbd9d47caee890aa2fb",
+    "18bb4da0e6aeb0b68178f3ac9ccb58c8705b085e32c1ce996d8e534fa35c981a",
+    "98d54a9f461fbb9b397d26e5e13952637676343990706a6670f0b2ac06afec6c",
+    "7d16e15b85b3451035953dfb13483b2cb79656f387d22ea3b78b47340e12a7ed",
+    "6d1a0bbbafe62bbcb7c183c2c024e0ad0dc1e5f8c6f64d1b43a325ffacaf1f09",
+    "055774f18ff2de585330f3c1bf079451c24aec0425bd1bbb8cf3dd8d32d04bd2",
+    "4f3a2693b4f40d129cdbbda8f797e19eb3b7b085a7f3d65380bc5f8d8d4af075",
+    "fd7a475f48e614fee6e969899e09ac1a4c52ef8f5011bedcff53a242546eabe6",
+]), ids=EIGHT_IDS)
+def test_bar_coboundary_ratio_verdicts_pinned(orders, digest):
+    # ratios of two canonical tables, the first shifted by a coboundary: None
+    # between distinct classes, a witness (keys in order) within one
+    group = Group(orders)
+    rng = random.Random(f"ratios {orders}")
+    params = enumerate_params(group)
+    lines = []
+    for _ in range(4):
+        a = rng.choice(params)
+        b = rng.choice([a, rng.choice(params)])
+        w = is_bar_coboundary(build_table(a) * random_bar_coboundary(rng, group)
+                              / build_table(b))
+        assert (w is None) == (a != b)
+        lines.append(None if w is None
+                     else [(x.exps, y.exps, str(v)) for (x, y), v in w.items()])
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("orders, digest", zip(EIGHT_GROUPS, [
+    "d59f8c5d92db71a477884852c4133a3116a54107e9c399e279b671361859ebd8",
+    "5be56de6cdc6ecba83b8b1a25b8c8f3ca38a6e04ad5bafc8d5f63f59884a53a8",
+    "82ca659830a0a88ad638d78454110937b6be26a594fc5706dcfab89044686de8",
+    "28301fb10f5c4a4870231f3f28bacb0751a3da02d4c697bdb45207955ce9e86b",
+    "380a41408838cc2c2d084806d70731787cb9945f9846b93b1355de9ee657939d",
+    "0819f4703ebc22474ae45cc0d7f5df3f090ad60d8b5aff5ba97420090dfd19a1",
+    "564785e72eb0f387418624c54f45f400acf813a5eec28fb5468e6260d91a4ac1",
+    "1918f9938ce781587e9135bf1e72bc480d10ddc8864554559d913277b245a437",
+]), ids=EIGHT_IDS)
+def test_bar_system_pinned(orders, digest):
+    # the Smith decomposition of the bar coboundary system, as it was when
+    # the rows were read off the public bar_differential
+    snf = cohomology._bar_system(orders)
+    canonical = ([sorted(row.items()) for row in snf.u_rows],
+                 [sorted(row.items()) for row in snf.v_rows], snf.diagonal)
+    assert hashlib.sha256(repr(canonical).encode()).hexdigest() == digest
+
+
+def test_bar_coboundary_values_must_be_roots():
+    group = Group((2,))
+    e, g = group.elements()
+    b = {(x, y): one() for x in (e, g) for y in (e, g)}
+    b[(g, g)] = 0.5
+    with pytest.raises(ValueError, match=r"^witness value 0\.5 must be a Root$"):
+        bar_coboundary_table(group, b)
 
 
 def test_classify_matches_scan_oracle():
@@ -442,6 +509,28 @@ def test_tensor_side_pinned(orders, digest):
         lines.append([[str(v) for v in block]
                       for block in (pulled.diag, pulled.iij, pulled.ijj, pulled.rst)])
         lines.append(is_tensor_cocycle(tampered(rng, f)))
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("orders, digest", [
+    ((2, 2), "e70b75e0efc82425b0b74e3ed7caa81faa3ec10443dd31650a4a38956a400a11"),
+    ((4, 2), "c9888912cf616ae1a0016754770a8707b3f2823a56a0a676f8cf3896eb8b9788"),
+    ((6, 4), "11dbabb70b943f99095317258086a50b65f3c2d9a82d94fe0ea2ee80cf98478c"),
+    ((2, 2, 2), "f0721c77dde8d022c681f717fa19718c7dd4f45c8682d9dbcbe3e9c5e40c3ff6"),
+    ((4, 3, 2), "58309024a0a4ce39df2d7eab33d76dc3f2c9e92455ba87308028ae579de9e3bb"),
+], ids=["Z2^2", "Z4xZ2", "Z6xZ4", "Z2^3", "Z4xZ3xZ2"])
+def test_tensor_coboundary_witness_pinned(orders, digest):
+    # witnesses (or None) on seeded coboundaries, on coboundaries times a
+    # representative and on tampered coboundaries, as solved on Root values
+    group = Group(orders)
+    rng = random.Random(f"tensor witness {orders}")
+    params = enumerate_params(group)
+    lines = []
+    for _ in range(8):
+        f = tensor_coboundary(random_witness(rng, group, 2 ** 70 if rng.random() < 0.25 else 1))
+        for g in (f, f * representative_cochain(rng.choice(params)), tampered(rng, f)):
+            w = is_tensor_coboundary(g)
+            lines.append(None if w is None else [str(v) for v in w.pairs])
     assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
 
 

@@ -446,6 +446,22 @@ def test_tensor_to_bar_cells_flatten_the_images():
         assert dict(flat) == expected, index
 
 
+@pytest.mark.parametrize("orders", [(3,), (2, 2), (4, 2), (2, 2, 2)],
+                         ids=["Z3", "Z2^2", "Z4xZ2", "Z2^3"])
+def test_bar_boundary_cells_are_the_augmented_boundary(orders):
+    # the oracle is the row builder of the bar coboundary system as it was
+    # written on the public bar_differential
+    group = Group(orders)
+    nonid = group.elements()[1:]
+    col = {pair: k for k, pair in enumerate(itertools.product(nonid, repeat=2))}
+    expected = []
+    for triple in itertools.product(nonid, repeat=3):
+        d = bar_differential(single(BarGenerator(triple), unit(group)))
+        expected.append(sorted((col[gen.elems], c.augmentation())
+                               for gen, c in d.terms.items()))
+    assert [list(cells) for cells in complexes.bar_boundary_cells(orders)] == expected
+
+
 @pytest.mark.parametrize("orders, digest", [
     ((4, 3), "5ae4d4e22ddcb5a6f8dce3d07ea891e338ff67fa34f0cac5016a47e7dabf2818"),
     ((2, 2, 2, 2), "320413a502765d3dec7f2fef1fea063f18f7e7956cb25bd4c59d9ce62f3e087f"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from grcat.intlinalg import (SmithDecomposition, left_kernel, matmul,
-                             smith_normal_form, solve_mod1, solve_with_snf)
+                             smith_normal_form, solve_exponents, solve_mod1)
 from grcat.roots import Root
 
 
@@ -147,13 +147,23 @@ def test_solve_rectangular_and_substitute():
 
 def test_solve_with_precomputed_decomposition():
     m = [[2, 0], [0, 3]]
-    snf = smith_normal_form(m)
-    sol = solve_with_snf(snf, [Root.of(1, 2), Root.of(2, 3)])
+    sol = solve_mod1(m, [Root.of(1, 2), Root.of(2, 3)])
     assert sol is not None
     assert sol[0] ** 2 == Root.of(1, 2)
     assert sol[1] ** 3 == Root.of(2, 3)
     with pytest.raises(ValueError):
-        solve_with_snf(snf, [Root.one()])
+        solve_mod1(m, [Root.one()])
+    # the integer solve reuses one decomposition: 1/2 and 2/3 over 6
+    snf = smith_normal_form(m)
+    L, nums = solve_exponents(snf, 6, [3, 4])
+    assert [Root(Fraction(k, L)) for k in nums] == sol
+    with pytest.raises(ValueError):
+        solve_exponents(snf, 1, [0])
+
+
+def test_solve_rejects_non_root_values():
+    with pytest.raises(ValueError, match=r"^right-hand value 0\.5 must be a Root$"):
+        solve_mod1([[1]], [0.5])
 
 
 def test_matmul_shape_guard():
