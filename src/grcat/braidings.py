@@ -7,8 +7,9 @@ diagonal entry, vanishing of every pair and triple parameter); when
 solvable, the full finite solution set is enumerated in closed form.  Two
 brute-force searches act as oracles: one over the provably sufficient grid
 of candidate matrices, one over every function G x G -> mu_N whatsoever.
-Both oracles and verify_hexagons decide through one batched check on
-integer exponent tables of R over a common modulus.
+Both hexagons are affine-linear in a candidate's grid digits, so both
+oracles filter their grid through the distinct linear forms of the hexagons;
+verify_hexagons computes the residuals of one braiding's exponent table.
 """
 
 from __future__ import annotations
@@ -169,24 +170,14 @@ def _hexagon_residual(a: CocycleParams, which: int, R, L: int, lo: int):
     return res
 
 
-def _hexagons_hold(a: CocycleParams, R, L: int, lo: int):
-    """Boolean mask over the candidates in R: True where both hexagons hold.
-
-    lo = 1 skips the triples holding the identity, which is sound when every
-    candidate is 1 on the identity row and column: there the R terms cancel
-    and the normalized cocycle's offset is 0.  lo = 0 checks all of G^3.
-    The second hexagon runs only on candidates that pass the first.
-    """
-    ok = (_hexagon_residual(a, 1, R, L, lo) == 0).all(axis=1)
-    if ok.any():
-        ok[ok] = (_hexagon_residual(a, 2, R[ok], L, lo) == 0).all(axis=1)
-    return ok
-
-
-def _chunk(K: int) -> int:
-    """Candidates per batch when K^3 triples are checked: at most 8192 x 343
-    residual cells at a time."""
-    return max(1, 8192 * 343 // K ** 3)
+@lru_cache(maxsize=64)
+def _product_basis(orders: tuple):
+    """B with B[s*n + t, x*N + y] = i_s * j_t, so that r @ B is the table of
+    the product-form braiding with generator-pair exponents r."""
+    E = np.array([x.exps for x in Group(orders).elements()], dtype=np.int64)
+    B = np.einsum("xs,yt->stxy", E, E).reshape(len(orders) ** 2, -1)
+    B.setflags(write=False)
+    return B
 
 
 def _product_form(group: Group, r, L: int):
@@ -196,12 +187,49 @@ def _product_form(group: Group, r, L: int):
     R(x, y) = sum of r[s][t] * i_s * j_t, with int64 when that sum fits.
     """
     n = group.rank
-    E = np.array([x.exps for x in group.elements()], dtype=np.int64)
-    B = np.einsum("xs,yt->stxy", E, E).reshape(n * n, -1)
     dtype = _int_dtype(5 * L * (n * max(group.orders)) ** 2)
-    R = np.asarray(r, dtype=dtype).reshape(len(r), n * n) @ B.astype(dtype)
+    B = _product_basis(group.orders).astype(dtype)
+    R = np.asarray(r, dtype=dtype).reshape(len(r), n * n) @ B
     R %= L
     return R.reshape(len(r), group.order, group.order)
+
+
+def _grid_solutions(a: CocycleParams, basis, sizes, lo: int):
+    """Digit rows d of the mixed-radix grid `sizes`, in grid order (last
+    digit fastest), whose exponent table R = (d * L/sizes) @ basis satisfies
+    both hexagons on [lo, N)^3.
+
+    lo = 1 skips the triples holding the identity, which is sound when R is
+    0 on the identity row and column: there the R terms cancel and the
+    normalized cocycle's offset is 0.  On one triple a hexagon's residual is
+    affine-linear in d, d @ A[:, u] - off[u] mod L, where column u of A
+    combines the basis columns of the three R cells it reads.  Equal
+    (form, offset) columns give equal residuals, so each distinct one is
+    checked once, on the rows that passed the forms before it.
+    """
+    Lw, offsets = _hexagon_offsets(a)
+    L = math.lcm(Lw, *sizes)
+    grid = np.array(sizes, dtype=np.int64)
+    A = np.concatenate([basis[:, c1] - basis[:, c2] - basis[:, c3]
+                        for c1, c2, c3 in _hexagon_cells(a.group.orders, lo)], axis=1)
+    off = np.concatenate([W[lo:, lo:, lo:].reshape(-1) for W in offsets]) * (L // Lw)
+    forms = np.unique(np.vstack([A % grid[:, None] * (L // grid)[:, None], off % L]), axis=1)
+    dtype = _int_dtype(L * (sum(sizes) + 1))
+    forms = forms[:, forms.any(axis=0)].T.astype(dtype)
+    # chunks share their trailing digits (tail) and differ in the leading
+    # ones (head), whose part of each form is a constant shift
+    k = max(len(sizes) - 1, 0)
+    while k and math.prod(sizes[k - 1:]) * len(sizes) <= 1 << 20:
+        k -= 1
+    tail = np.indices(sizes[k:]).reshape(len(sizes) - k, math.prod(sizes[k:])).T.astype(dtype)
+    out = []
+    for head in itertools.product(*map(range, sizes[:k])):
+        rows = tail
+        shifts = forms[:, :k] @ np.array(head, dtype) - forms[:, -1]
+        for form, shift in zip(forms[:, k:-1], shifts):
+            rows = rows[(rows @ form + shift) % L == 0]
+        out.extend([*head, *row] for row in rows.tolist())
+    return out
 
 
 def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
@@ -241,20 +269,10 @@ def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6):
     if total > max_candidates:
         raise ValueError(
             f"candidate grid has {total} points, above the {max_candidates} bound")
-    Lw, _ = _hexagon_offsets(a)
-    L = math.lcm(Lw, *sizes)
-    strides = np.array([math.prod(sizes[p + 1:]) for p in range(n * n)], dtype=np.int64)
-    grid = np.array(sizes, dtype=np.int64)
-    survivors = []
-    chunk = _chunk(group.order - 1)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = idx[:, None] // strides % grid
-        R = _product_form(group, (digits * (L // grid)).reshape(-1, n, n), L)
-        survivors.extend(digits[_hexagons_hold(a, R, L, lo=1)].tolist())
+    root = lru_cache(maxsize=None)(Root.of)
     out = []
-    for row in survivors:
-        roots = [Root.of(u, size) for u, size in zip(row, sizes)]
+    for row in _grid_solutions(a, _product_basis(orders), sizes, lo=1):
+        roots = [root(u, size) for u, size in zip(row, sizes)]
         out.append(QuasiBicharacter(group, [roots[i * n:(i + 1) * n] for i in range(n)]))
     return out
 
@@ -285,30 +303,20 @@ def brute_force_full_function_space(a: CocycleParams, values_order: int,
     group = a.group
     N = group.order
     elems = list(group.elements())
-    pairs = [(p, q) for p in range(N) for q in range(N)]
-    if prune_identity:
-        free = [(p, q) for p, q in pairs if p and q]
-    else:
-        free = pairs
+    free = [p * N + q for p in range(N) for q in range(N) if p and q or not prune_identity]
     total = values_order ** len(free)
     if total > max_candidates:
         raise ValueError(
             f"function space has {total} points, above the {max_candidates} bound")
 
-    Lw, _ = _hexagon_offsets(a)
-    L = math.lcm(Lw, values_order)
-    columns = [p * N + q for p, q in free]
-    lo = 1 if prune_identity else 0
+    # mu_1 has a single value, so no cell is left to choose
+    columns = free if values_order > 1 else []
+    basis = (np.arange(N * N) == np.array(columns, dtype=np.int64)[:, None]).astype(np.int64)
+    root = lru_cache(maxsize=None)(Root.of)
     out = []
-    chunk = _chunk(N - lo)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        R = np.zeros((len(idx), N * N), dtype=_int_dtype(5 * L))
-        for k, col in enumerate(columns):
-            R[:, col] = idx // values_order ** (len(free) - 1 - k) % values_order
-        R *= L // values_order
-        R = R.reshape(-1, N, N)
-        for rtab in R[_hexagons_hold(a, R, L, lo)].tolist():
-            out.append({(elems[p], elems[q]): Root(Fraction(rtab[p][q], L))
-                        for p in range(N) for q in range(N)})
+    for row in _grid_solutions(a, basis, [values_order] * len(columns),
+                               1 if prune_identity else 0):
+        values = dict(zip(columns, row))
+        out.append({(elems[p], elems[q]): root(values.get(p * N + q, 0), values_order)
+                    for p in range(N) for q in range(N)})
     return out

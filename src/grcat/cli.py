@@ -110,7 +110,7 @@ def _build_parser():
     cocycle = sub.add_parser("cocycle", help="canonical cocycles")
     csub = cocycle.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("list", help="all parameter choices")
-    add_common(p)
+    add_common(p, max_cells=True)
     p.add_argument("--count", action="store_true")
     p = csub.add_parser("eval", help="one cocycle value")
     add_common(p, params=True)
@@ -140,7 +140,7 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "plain"), default="json")
 
     p = sub.add_parser("braidings", help="all braidings for a parameter choice")
-    add_common(p, params=True)
+    add_common(p, params=True, max_cells=True)
     p.add_argument("--count", action="store_true")
 
     oracle = sub.add_parser("oracle", help="brute-force searches")
@@ -168,6 +168,11 @@ def _table_for_verify(args):
     return co.build_table(params, max_cells=args.max_cells)
 
 
+def _check_listing(count, what, max_cells):
+    if count > max_cells:
+        raise ValueError(f"listing would hold {count} {what}, above the {max_cells} bound")
+
+
 def _emit_braidings(args, found):
     _emit(args, [[[str(v) for v in row] for row in qb.r] for qb in found],
           "\n".join("; ".join(" ".join(str(v) for v in row) for row in qb.r)
@@ -186,6 +191,7 @@ def _run(args) -> int:
             if args.count:
                 _emit(args, coh.h3_order(group))
                 return 0
+            _check_listing(coh.h3_order(group), "parameter choices", args.max_cells)
             params = co.enumerate_params(group)
             _emit(args, [co.params_to_doc(p) for p in params],
                   "\n".join(params_literal(p) for p in params))
@@ -253,6 +259,7 @@ def _run(args) -> int:
         if args.count:
             _emit(args, br.braiding_count(params))
         else:
+            _check_listing(br.braiding_count(params), "braidings", args.max_cells)
             _emit_braidings(args, br.enumerate_braidings(params))
         return 0
 

@@ -1,5 +1,6 @@
 """Braiding existence, closed-form enumeration, and the two oracles."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -130,18 +131,12 @@ def test_soundness_every_enumerated_braiding_passes_hexagons():
 
 
 def test_completeness_matches_brute_force():
-    # rank three gets the two interesting parameter choices; the quarter
-    # million point grid is too slow to sweep against all 128 classes
-    for orders in ORACLE_GROUPS[:-1]:
+    for orders in ORACLE_GROUPS + [(3, 3), (4, 3)]:
         group = Group(orders)
         for a in enumerate_params(group):
             mine = set(enumerate_braidings(a))
             oracle = set(brute_force_braidings(a))
             assert mine == oracle, (orders, a)
-    eight = Group((2, 2, 2))
-    for a in (zero_params(eight),
-              CocycleParams(eight, (0, 0, 0), (0, 0, 0), (1,))):
-        assert set(enumerate_braidings(a)) == set(brute_force_braidings(a))
 
 
 def first_multiplicative_failure(a, R):
@@ -230,12 +225,58 @@ def test_hexagons_in_original_multiplicative_form():
 
 
 def test_oracle_guard():
-    group = Group((8, 4))
-    with pytest.raises(ValueError):
-        brute_force_braidings(zero_params(group))
+    # the refusal comes before anything is built: 64^9 points on Z_8^3
+    for orders, total in (((8, 4), 64 * 32 * 32 * 16), ((8, 8, 8), 64 ** 9)):
+        with pytest.raises(ValueError, match=rf"^candidate grid has {total} points, "
+                                             r"above the 1000000 bound$"):
+            brute_force_braidings(zero_params(Group(orders)))
     small = Group((2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^candidate grid has 4 points, above the 3 bound$"):
         brute_force_braidings(zero_params(small), max_candidates=3)
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of the ordered oracle outputs, computed before the oracles filtered
+# the grid through the hexagons' linear forms: (class step, digest)
+GRID_ORACLE_PINS = {
+    (2, 2): (1, "d16e94902f6d32f58c6538c820532e973ad45d30e684e220f1edd1a64321dad0"),
+    (4, 2): (1, "2709e59174760f8e2e06c93de9b72e614447faec28d8428e08a714bda04b4578"),
+    (3, 3): (1, "b2850a82fedf99c206171e488f9fd59b4e4bcee3d775739927636bfc9d0ba8b5"),
+    (4, 3): (1, "291daa4282cdebacea106ce90d338feb2e83267d2357d787108c1363ec7a9197"),
+    (2, 2, 2): (8, "b975c9fa231cb44630311e0a7c410fd8961070f3e9e2c210a7b12a9404517210"),
+}
+
+
+def test_grid_oracle_outputs_pinned():
+    for orders, (step, expected) in GRID_ORACLE_PINS.items():
+        rows = [[[[str(v) for v in row] for row in R.r] for R in brute_force_braidings(a)]
+                for a in enumerate_params(Group(orders))[::step]]
+        assert _digest(rows) == expected, orders
+
+
+# (orders, values order, prune_identity, digest over every class)
+FULL_SPACE_PINS = [
+    ((2,), 8, True, "4420ca04770af997e1b32e1eb936e42578644bed9697aac7da06eaf398335da5"),
+    ((2,), 8, False, "4420ca04770af997e1b32e1eb936e42578644bed9697aac7da06eaf398335da5"),
+    ((3,), 9, True, "5e52a004771252a1252463cf220980505906ea02176535f91e5a04e54dad819c"),
+    ((2, 2), 4, True, "adc8ba5b475cab2f1f54eb59b21dd708441d1599424c9319f0490bc7ea7bcf81"),
+    ((4,), 4, True, "423083d44f4b157add11c0b865fc6661c55b6f2456c207d9ec2b82b9d97f3369"),
+    # mu_1: one function, whatever the number of cells
+    ((20,), 1, True, "6b041bd0d9daa118e3be7d0c3b02f7a01cc34707666af2ed22ceb8316f53d06b"),
+    ((4, 2), 1, False, "ea3f3f8bbea6f712190261f2ef884ace2c5dc7a5aeca4815acb96858122124a4"),
+]
+
+
+def test_full_space_oracle_outputs_pinned():
+    for orders, N, prune, expected in FULL_SPACE_PINS:
+        rows = [[[(x.exps, y.exps, str(v)) for (x, y), v in
+                  sorted(t.items(), key=lambda kv: (kv[0][0].exps, kv[0][1].exps))]
+                 for t in brute_force_full_function_space(a, N, prune_identity=prune)]
+                for a in enumerate_params(Group(orders))]
+        assert _digest(rows) == expected, (orders, N, prune)
 
 
 def test_full_function_space_z2():
@@ -268,10 +309,13 @@ def test_full_function_space_z3():
 
 
 def test_full_function_space_guard():
-    four = Group((2, 2))
-    with pytest.raises(ValueError):
-        brute_force_full_function_space(zero_params(four), 8)
-    with pytest.raises(ValueError):
+    for orders, N, prune, total in (((2, 2), 8, True, 8 ** 9),
+                                    ((4, 2), 64, False, 64 ** 64)):
+        with pytest.raises(ValueError, match=rf"^function space has {total} points, "
+                                             r"above the 1000000 bound$"):
+            brute_force_full_function_space(zero_params(Group(orders)), N,
+                                            prune_identity=prune)
+    with pytest.raises(ValueError, match=r"^values order must be positive, got 0$"):
         brute_force_full_function_space(zero_params(Group((2,))), 0)
 
 

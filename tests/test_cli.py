@@ -247,6 +247,37 @@ def test_cocycle_list_count_is_closed_form(capsys, monkeypatch):
     assert code == 0 and out == "4398046511104\n"
 
 
+def test_listings_are_bounded(capsys, monkeypatch):
+    # a listing above --max-cells is refused with one line before anything
+    # is built; --count still answers from the closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused listing must not enumerate")
+    monkeypatch.setattr("grcat.braidings.enumerate_braidings", refuse)
+    monkeypatch.setattr("grcat.cocycles.enumerate_params", refuse)
+    for argv, err_line in (
+            (("braidings", "--orders", "8,8,8", "--params", ""),
+             "grcat: listing would hold 134217728 braidings, above the 1000000 bound\n"),
+            (("braidings", "--orders", "2,2", "--params", "", "--max-cells", "15"),
+             "grcat: listing would hold 16 braidings, above the 15 bound\n"),
+            (("cocycle", "list", "--orders", "64,64,64"),
+             "grcat: listing would hold 4398046511104 parameter choices, "
+             "above the 1000000 bound\n"),
+            (("cocycle", "list", "--orders", "2,2", "--max-cells", "7"),
+             "grcat: listing would hold 8 parameter choices, above the 7 bound\n")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", err_line), argv
+    code, out, _ = run_cli(capsys, "braidings", "--orders", "8,8,8", "--params", "",
+                           "--count")
+    assert code == 0 and out == "134217728\n"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "braidings", "--orders", "2,2", "--params", "",
+                           "--max-cells", "16")
+    assert code == 0 and len(json.loads(out)) == 16
+    code, out, _ = run_cli(capsys, "cocycle", "list", "--orders", "2,2",
+                           "--max-cells", "8")
+    assert code == 0 and len(json.loads(out)) == 8
+
+
 def test_oracle_full_space(capsys):
     code, out, _ = run_cli(capsys, "oracle", "full-space", "--orders", "2",
                            "--params", "1", "--values-order", "8", "--count")
