@@ -9,7 +9,7 @@ brute-force searches act as oracles: one over the provably sufficient grid
 of candidate matrices, one over every function G x G -> mu_N whatsoever.
 Both hexagons are affine-linear in a candidate's grid digits, so both
 oracles filter their grid through the distinct linear forms of the hexagons;
-verify_hexagons computes the residuals of one braiding's exponent table.
+verify_hexagons reads the same residual kernel on one braiding's table.
 """
 
 from __future__ import annotations
@@ -126,47 +126,39 @@ def enumerate_braidings(a: CocycleParams):
 
 
 @lru_cache(maxsize=64)
-def _hexagon_offsets(a: CocycleParams):
-    """(Lw, (W1, W2)): the cocycle terms of both hexagons per triple, over Lw."""
+def _hexagon_offsets(a: CocycleParams, lo: int):
+    """(Lw, off): the cocycle terms over Lw of every (hexagon, triple) on
+    [lo, N)^3, flat in the column order of _hexagon_forms."""
     Lw, w = build_table(a).exponents()
-    W1 = w.transpose(1, 2, 0) + w - w.transpose(0, 2, 1)  # w(z,x,y) w(x,y,z) / w(x,z,y)
-    W2 = w.transpose(1, 0, 2) - w.transpose(2, 0, 1) - w  # w(y,x,z) / (w(y,z,x) w(x,y,z))
-    for W in (W1, W2):
-        W.setflags(write=False)
-    return Lw, (W1, W2)
+    w = w[lo:, lo:, lo:]
+    # w(z,x,y) w(x,y,z) / w(x,z,y), then w(y,x,z) / (w(y,z,x) w(x,y,z))
+    off = np.concatenate([w.transpose(1, 2, 0) + w - w.transpose(0, 2, 1),
+                          w.transpose(1, 0, 2) - w.transpose(2, 0, 1) - w], axis=None)
+    off.setflags(write=False)
+    return Lw, off
 
 
 @lru_cache(maxsize=64)
 def _hexagon_cells(orders: tuple, lo: int):
-    """Flat indices x*N + y of the three R terms of each hexagon, per triple.
-
-    Triples run over [lo, N)^3 in C order.  The first hexagon reads
-    R(xy, z), R(x, z), R(y, z); the second R(x, yz), R(x, y), R(x, z).
-    """
+    """(c1, c2, c3): flat indices x*N + y of the three R terms of every
+    (hexagon, triple), hexagon 1's triples on [lo, N)^3 in C order, then
+    hexagon 2's.  Hexagon 1 reads R(xy, z), R(x, z), R(y, z); hexagon 2
+    reads R(x, yz), R(x, y), R(x, z)."""
     group = Group(orders)
     N = group.order
     mul = group.mul_table()
-    x, y, z = (v.reshape(-1) for v in
-               np.meshgrid(*[np.arange(lo, N)] * 3, indexing="ij"))
-    return ((mul[x, y] * N + z, x * N + z, y * N + z),
-            (x * N + mul[y, z], x * N + y, x * N + z))
+    x, y, z = np.indices((N - lo,) * 3).reshape(3, -1) + lo
+    return tuple(np.concatenate(c) for c in zip((mul[x, y] * N + z, x * N + z, y * N + z),
+                                                 (x * N + mul[y, z], x * N + y, x * N + z)))
 
 
-def _hexagon_residual(a: CocycleParams, which: int, R, L: int, lo: int):
-    """Residual mod L of hexagon `which` for each candidate in R on [lo, N)^3.
-
-    R has shape (C, N, N) and holds the exponents R(x, y) over L, a multiple
-    of the cocycle's modulus.  Result shape (C, K^3) with K = N - lo, in C
-    order over the triples, zero where the identity holds.
-    """
-    Lw, offsets = _hexagon_offsets(a)
-    rows = R.reshape(len(R), -1)
-    first, *rest = _hexagon_cells(a.group.orders, lo)[which - 1]
-    res = np.take(rows, first, axis=1)
-    for cells in rest:
-        res -= np.take(rows, cells, axis=1)
-    res -= offsets[which - 1][lo:, lo:, lo:].reshape(-1).astype(R.dtype) * (L // Lw)
-    res %= L
+def _hexagon_forms(orders: tuple, M, lo: int):
+    """M[..., c1] - M[..., c2] - M[..., c3] on the cells of _hexagon_cells: the R
+    part of every hexagon residual of a table M, or its linear form on a basis M."""
+    c1, c2, c3 = _hexagon_cells(orders, lo)
+    res = np.take(M, c1, axis=-1)
+    res -= np.take(M, c2, axis=-1)
+    res -= np.take(M, c3, axis=-1)
     return res
 
 
@@ -181,17 +173,12 @@ def _product_basis(orders: tuple):
 
 
 def _product_form(group: Group, r, L: int):
-    """Exponent tables (C, N, N) over L of product-form braidings.
-
-    r has shape (C, n, n): the generator-pair exponents r[s][t] over L.
-    R(x, y) = sum of r[s][t] * i_s * j_t, with int64 when that sum fits.
-    """
-    n = group.rank
-    dtype = _int_dtype(5 * L * (n * max(group.orders)) ** 2)
+    """Flat exponent table over L of the product-form braiding with exponents
+    r[s][t] over L: entry x*N + y is the sum of r[s][t] * i_s * j_t, with
+    int64 when that sum fits."""
+    dtype = _int_dtype(5 * L * (group.rank * max(group.orders)) ** 2)
     B = _product_basis(group.orders).astype(dtype)
-    R = np.asarray(r, dtype=dtype).reshape(len(r), n * n) @ B
-    R %= L
-    return R.reshape(len(r), group.order, group.order)
+    return np.asarray(r, dtype=dtype).reshape(-1) @ B % L
 
 
 def _grid_solutions(a: CocycleParams, basis, sizes, lo: int):
@@ -207,13 +194,17 @@ def _grid_solutions(a: CocycleParams, basis, sizes, lo: int):
     (form, offset) columns give equal residuals, so each distinct one is
     checked once, on the rows that passed the forms before it.
     """
-    Lw, offsets = _hexagon_offsets(a)
+    Lw, off = _hexagon_offsets(a, lo)
     L = math.lcm(Lw, *sizes)
     grid = np.array(sizes, dtype=np.int64)
-    A = np.concatenate([basis[:, c1] - basis[:, c2] - basis[:, c3]
-                        for c1, c2, c3 in _hexagon_cells(a.group.orders, lo)], axis=1)
-    off = np.concatenate([W[lo:, lo:, lo:].reshape(-1) for W in offsets]) * (L // Lw)
-    forms = np.unique(np.vstack([A % grid[:, None] * (L // grid)[:, None], off % L]), axis=1)
+    A = _hexagon_forms(a.group.orders, basis, lo) % grid[:, None] * (L // grid)[:, None]
+    off = off * (L // Lw) % L
+    # deduplicating block by block keeps np.unique's copies of the columns small
+    step = 1 << 16
+    forms = np.empty((len(A) + 1, 0), dtype=A.dtype)
+    for i in range(0, len(off), step):
+        block = np.vstack([A[:, i:i + step], off[i:i + step]])
+        forms = np.unique(np.hstack([forms, block]), axis=1)
     dtype = _int_dtype(L * (sum(sizes) + 1))
     forms = forms[:, forms.any(axis=0)].T.astype(dtype)
     # chunks share their trailing digits (tail) and differ in the leading
@@ -241,9 +232,12 @@ def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
     if R.group != a.group:
         raise ValueError("braiding and parameters live over different groups")
     group = a.group
-    L, r = _numerators(R, _hexagon_offsets(a)[0])
-    table = _product_form(group, [r], L)
-    bad1, bad2 = (_hexagon_residual(a, which, table, L, 1)[0] != 0 for which in (1, 2))
+    Lw, off = _hexagon_offsets(a, 1)
+    L, r = _numerators(R, Lw)
+    res = _hexagon_forms(group.orders, _product_form(group, r, L), 1)
+    res -= off.astype(res.dtype, copy=False) * (L // Lw)
+    res %= L
+    bad1, bad2 = res.reshape(2, -1) != 0
     bad = bad1 | bad2
     if not bad.any():
         return None
@@ -281,7 +275,7 @@ def braiding_function_table(R: QuasiBicharacter) -> dict:
     """The full function on G x G induced by the product formula."""
     group = R.group
     L, r = _numerators(R)
-    table = _product_form(group, [r], L)[0]
+    table = _product_form(group, r, L).reshape(group.order, group.order)
     roots = {k: Root(Fraction(k, L)) for k in np.unique(table).tolist()}
     elems = group.elements()
     return {(x, y): roots[k] for x, row in zip(elems, table.tolist())

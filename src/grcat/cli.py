@@ -37,13 +37,15 @@ def parse_params_literal(group: Group, text: str) -> co.CocycleParams:
         raise ValueError(f"params literal has {len(parts)} sections, at most 3 allowed")
     while len(parts) < 3:
         parts.append("")
-    groups = [[int(v) for v in part.split(",") if v.strip() != ""]
-              for part in parts]
     n = group.rank
     expected = [n, len(co.pair_indices(n)), len(co.triple_indices(n))]
     filled = []
-    for got, want, label in zip(groups, expected,
-                                ("diagonal", "pair", "triple")):
+    for part, want, label in zip(parts, expected, ("diagonal", "pair", "triple")):
+        try:
+            got = [int(v) for v in part.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ValueError(f"--params {label} section must be comma-separated "
+                             f"integers, got {part!r}")
         if not got:
             got = [0] * want
         if len(got) != want:
@@ -58,8 +60,11 @@ def params_literal(params: co.CocycleParams) -> str:
                      ",".join(str(v) for v in params.triples)))
 
 
-def _parse_element(group: Group, text: str):
-    exps = tuple(int(p) for p in text.split(","))
+def _parse_element(group: Group, text: str, flag: str):
+    try:
+        exps = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}")
     return group.element(exps)
 
 
@@ -198,9 +203,9 @@ def _run(args) -> int:
             return 0
         if args.subcommand == "eval":
             params = parse_params_literal(group, args.params)
-            x = _parse_element(group, args.x)
-            y = _parse_element(group, args.y)
-            z = _parse_element(group, args.z)
+            x = _parse_element(group, args.x, "--x")
+            y = _parse_element(group, args.y, "--y")
+            z = _parse_element(group, args.z, "--z")
             v = co.eval_cocycle(params, x, y, z)
             _emit(args, str(v))
             return 0

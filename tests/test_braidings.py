@@ -188,6 +188,38 @@ def test_hexagon_witness_matches_multiplicative_scan():
             R = QuasiBicharacter(group, [[Root.of(rng.randrange(24), rng.choice((4, 8, 12, 16)))
                                           for _ in range(n)] for _ in range(n)])
             assert verify_hexagons(a, R) == first_multiplicative_failure(a, R), (orders, a, R)
+    # a 2^70 denominator takes the exponent tables past int64
+    group = Group((4, 2))
+    R = QuasiBicharacter(group, [[Root.of(1, 2 ** 70), Root.of(1, 4)],
+                                 [Root.of(3, 8), Root.of(1, 2)]])
+    for a in enumerate_params(group)[:3]:
+        assert verify_hexagons(a, R) == first_multiplicative_failure(a, R), a
+
+
+# sha256 of repr(verify_hexagons(a, R)) over a seeded set, computed before
+# verify_hexagons and the oracles shared one residual kernel
+HEXAGON_GROUPS = [(2,), (4,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (4, 3), (4, 4),
+                  (2, 2, 2, 2), (8, 8)]
+HEXAGON_PIN = "83175f042f727a762b72bb8afcdd0a4d5c0d6011f211acdb665f4e57d5399e30"
+
+
+def test_verify_hexagons_pinned():
+    # per group 3 seeded classes that admit braidings, each with 4 off-grid
+    # braidings and its first 3 enumerated ones
+    rng = random.Random(71)
+    results = []
+    for orders in HEXAGON_GROUPS:
+        group = Group(orders)
+        braided = [a for a in enumerate_params(group) if braiding_exists(a)[0]]
+        n = group.rank
+        for a in (rng.choice(braided) for _ in range(3)):
+            off_grid = [QuasiBicharacter(group, [[Root.of(rng.randrange(24),
+                                                          rng.choice((4, 8, 12, 16)))
+                                                  for _ in range(n)] for _ in range(n)])
+                        for _ in range(4)]
+            for R in off_grid + enumerate_braidings(a)[:3]:
+                results.append(verify_hexagons(a, R))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == HEXAGON_PIN
 
 
 def test_hexagon_failure_witness():

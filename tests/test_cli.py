@@ -321,6 +321,22 @@ def test_usage_and_parse_errors(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "cocycle", "eval", "--orders", "2",
                          "--params", "1", "--x", "1,0", "--y", "1", "--z", "1")
     assert code == 2
+    # a literal that is not an integer is reported with its flag (and its
+    # --params section) on one line
+    for argv, message in (
+            (("oracle", "braidings", "--orders", "2", "--params", "x"),
+             "--params diagonal section must be comma-separated integers, got 'x'"),
+            (("braidings", "--orders", "2,2", "--params", "0,1;1.5"),
+             "--params pair section must be comma-separated integers, got '1.5'"),
+            (("verify", "pentagon", "--orders", "2,2,2", "--params", ";;a"),
+             "--params triple section must be comma-separated integers, got 'a'"),
+            (("cocycle", "eval", "--orders", "2", "--params", "1",
+              "--x", "a", "--y", "1", "--z", "1"),
+             "--x must be comma-separated integers, got 'a'"),
+            (("cocycle", "eval", "--orders", "2,2", "--params", "",
+              "--x", "1,0", "--y", "1,0", "--z", "1,"),
+             "--z must be comma-separated integers, got '1,'")):
+        assert run_cli(capsys, *argv) == (2, "", f"grcat: {message}\n"), argv
     assert run_cli(capsys, "classify", "--table",
                    str(tmp_path / "missing.json"))[0] == 2
     broken = tmp_path / "broken.json"
