@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grcat.intlinalg import (SmithDecomposition, left_kernel, matmul,
@@ -195,3 +197,56 @@ def test_solvability_matches_left_kernel_criterion():
                 got = sum(Fraction(c) * s.exponent for c, s in zip(mrow, x))
                 assert got % 1 == r.exponent
     assert seen_solvable > 20 and seen_unsolvable > 20
+
+
+def _pin_matrices():
+    # 200 seeded shapes from 0 x k to 8 x 8 with entries in -6..6; a common
+    # step of 2 or 3 and a share of zeros reach non-unit pivots and stray rows
+    rng = random.Random("snf pins")
+    for _ in range(200):
+        rows, cols = rng.randrange(9), rng.randrange(9)
+        step = rng.choice((1, 1, 2, 3))
+        density = rng.choice((0.3, 0.6, 1.0))
+        yield [[rng.randrange(-6 // step, 6 // step + 1) * step
+                if rng.random() < density else 0 for _ in range(cols)]
+               for _ in range(rows)]
+
+
+def test_random_decompositions_pinned():
+    # u, v and the diagonal as the elimination gave them before it took
+    # sparse rows and bounded its pivot search
+    canonical = []
+    for m in _pin_matrices():
+        snf = smith_normal_form(m)
+        canonical.append(([sorted(row.items()) for row in snf.u_rows],
+                          [sorted(row.items()) for row in snf.v_rows], snf.diagonal))
+    assert hashlib.sha256(repr(canonical).encode()).hexdigest() == (
+        "f75a5f393e5321e8301f430b5462bf22d92d3a55e21cfa97ed43cf28e7a9f97e")
+
+
+def _solve_by_rows(snf, L, nums):
+    """solve_exponents as a loop over the sparse rows of u and v."""
+    w = [sum(e * nums[j] for j, e in row.items()) for row in snf.u_rows]
+    if any(w[i] % L for i in snf.zero_rows):
+        return None
+    L2 = L * math.lcm(*(di for di in snf.diagonal if di))
+    y = [(w[i] % L) * (L2 // (L * di)) if di else 0 for i, di in enumerate(snf.diagonal)]
+    y += [0] * (len(snf.v_rows) - len(y))
+    return L2, [sum(e * y[j] for j, e in row.items()) % L2 for row in snf.v_rows]
+
+
+@pytest.mark.parametrize("L", [6, 2 ** 62, 2 ** 70])
+def test_solve_exponents_matches_row_loop(L):
+    # around 2**62 the products of u and v with the numerators leave int64
+    rng = random.Random(f"solve {L}")
+    solved = 0
+    for m in _pin_matrices():
+        snf = smith_normal_form(m)
+        cols = len(snf.v_rows)
+        x = [rng.randrange(L) for _ in range(cols)]
+        for nums in ([sum(a * b for a, b in zip(row, x)) % L for row in m],
+                     [rng.randrange(-L, L) for _ in m]):
+            expected = _solve_by_rows(snf, L, nums)
+            assert solve_exponents(snf, L, nums) == expected
+            solved += expected is not None
+    assert solved > 200
