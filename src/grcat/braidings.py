@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycles import (CocycleParams, _int_dtype, build_table, pair_indices,
-                       triple_indices)
+from .cocycles import CocycleParams, build_table, pair_indices, triple_indices
 from .groups import Group, GroupElement
+from .intlinalg import _int_dtype
 from .roots import Root, _common_denominator
 
 
@@ -125,7 +125,9 @@ def enumerate_braidings(a: CocycleParams):
     return out
 
 
-@lru_cache(maxsize=64)
+# the census reads at most 8 classes and 8 (orders, lo) shapes; a larger
+# bound would keep the arrays of every oracle run alive
+@lru_cache(maxsize=8)
 def _hexagon_offsets(a: CocycleParams, lo: int):
     """(Lw, off): the cocycle terms over Lw of every (hexagon, triple) on
     [lo, N)^3, flat in the column order of _hexagon_forms."""
@@ -138,16 +140,17 @@ def _hexagon_offsets(a: CocycleParams, lo: int):
     return Lw, off
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _hexagon_cells(orders: tuple, lo: int):
     """(c1, c2, c3): flat indices x*N + y of the three R terms of every
     (hexagon, triple), hexagon 1's triples on [lo, N)^3 in C order, then
     hexagon 2's.  Hexagon 1 reads R(xy, z), R(x, z), R(y, z); hexagon 2
-    reads R(x, yz), R(x, y), R(x, z)."""
+    reads R(x, yz), R(x, y), R(x, z).  int32 while N^2 fits."""
     group = Group(orders)
     N = group.order
-    mul = group.mul_table()
-    x, y, z = np.indices((N - lo,) * 3).reshape(3, -1) + lo
+    dtype = np.int32 if N * N < 2 ** 31 else np.int64
+    mul = group.mul_table().astype(dtype)
+    x, y, z = np.indices((N - lo,) * 3, dtype=dtype).reshape(3, -1) + lo
     return tuple(np.concatenate(c) for c in zip((mul[x, y] * N + z, x * N + z, y * N + z),
                                                  (x * N + mul[y, z], x * N + y, x * N + z)))
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import Group, GroupElement
+from .intlinalg import _int_dtype
 from .roots import Root, _common_denominator, parse_exponent
 
 
@@ -253,11 +254,6 @@ def _phi3(orders, nums, i, j, k):
         if rst:
             total = total - rst * k[r] * j[s] * i[t]
     return total
-
-
-def _int_dtype(bound: int):
-    """int64 when every value and sum stays below bound, exact Python ints else."""
-    return np.int64 if bound < 2 ** 63 else object
 
 
 def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,

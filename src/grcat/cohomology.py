@@ -23,12 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 # representative_cochain is not used here; callers import it from this module too
-from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _int_dtype,
-                       degree3_indices, pair_indices, representative_cochain,
-                       slot_moduli, triple_indices, verify_normalized, verify_pentagon)
+from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, degree3_indices,
+                       pair_indices, representative_cochain, slot_moduli, triple_indices,
+                       verify_normalized, verify_pentagon)
 from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
-from .intlinalg import smith_normal_form, solve_exponents
+from .intlinalg import (_int_dtype, _sparse_smith_normal_form, smith_normal_form,
+                        solve_exponents)
 from .roots import Root, _common_denominator
 
 
@@ -173,9 +174,7 @@ def _bar_system(orders: tuple):
     Equations at triples with an identity argument are identically zero on
     both sides for normalized inputs, so they are omitted.
     """
-    columns = range((math.prod(orders) - 1) ** 2)
-    return smith_normal_form([[row.get(j, 0) for j in columns]
-                              for row in map(dict, bar_boundary_cells(orders))])
+    return _sparse_smith_normal_form(bar_boundary_cells(orders), (math.prod(orders) - 1) ** 2)
 
 
 def _bar_coboundary(group: Group, L: int, nums) -> CocycleTable:
@@ -213,17 +212,18 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
         raise ValueError(
             f"group order {group.order} above the {max_group_order} bound")
     L, w = t.exponents()
-    sol = solve_exponents(_bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1).tolist())
+    sol = solve_exponents(_bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1))
     if sol is None:
         return None
     den, nums = sol
     if _bar_coboundary(group, den, nums) != t:
         raise ValueError("table is not a normalized cocycle")
     elems = group.elements()
+    e, rest = elems[0], elems[1:]
     roots = {k: Root(Fraction(k, den)) for k in {0, *nums}}
-    witness = {(x, y): roots[0] for x, y in itertools.product(elems, repeat=2)
-               if x.is_identity() or y.is_identity()}
-    witness.update(zip(itertools.product(elems[1:], repeat=2), map(roots.get, nums)))
+    # the identity row, then the identity column: lexicographic pair order
+    witness = dict.fromkeys([*((e, y) for y in elems), *((x, e) for x in rest)], roots[0])
+    witness.update(zip(itertools.product(rest, repeat=2), map(roots.get, nums)))
     return witness
 
 

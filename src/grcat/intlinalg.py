@@ -1,20 +1,26 @@
 """Exact integer linear algebra: Smith normal form and linear systems over Q/Z.
 
-Matrices come in as lists of rows of Python ints, so every pivot is exact.
-The elimination holds each row of d, u and v as a sparse dict {column:
-nonzero entry}: the largest system, the bar coboundary system of Z_4 x Z_3,
-is 1331 x 121 with at most four nonzeros per row, and its u stays 1.4%
-nonzero.  The decomposition keeps d as its diagonal; the dense u, d, v are
-views, and matmul is the dense product.  solve_exponents solves over Q/Z on
-integer numerators; Root appears only in its wrapper solve_mod1.
+The elimination takes a matrix as sparse rows of (column, entry) pairs of
+Python ints, so every pivot is exact; smith_normal_form is its entry point
+for dense lists of rows.  It holds each row of d, u and v as a dict
+{column: nonzero entry}: the largest system, the bar coboundary system of
+Z_4 x Z_3, is 1331 x 121 with at most four nonzeros per row, and its u
+stays 1.4% nonzero.  The decomposition keeps d as its diagonal; the dense
+u, d, v are views, and matmul is the dense product.  solve_exponents solves
+over Q/Z on integer numerators, one gather over the nonzeros of u and one
+over those of v, in int64 when the sums fit; Root appears only in its
+wrapper solve_mod1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .roots import Root, _common_denominator
 
@@ -63,13 +69,41 @@ def _dense(rows, cols):
     return [[row.get(j, 0) for j in range(cols)] for row in rows]
 
 
+def _int_dtype(bound: int):
+    """int64 when every value and sum stays below bound, exact Python ints else."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _flatten(rows):
+    """Sparse rows as flat arrays (row ids, columns, entries) plus their
+    largest absolute row sum, which bounds every partial sum of a gather."""
+    bound = max((sum(map(abs, row.values())) for row in rows), default=0)
+    ids = np.repeat(np.arange(len(rows)), np.array([len(row) for row in rows], dtype=np.intp))
+    cols = np.array([j for row in rows for j in row], dtype=np.intp)
+    entries = np.array([e for row in rows for e in row.values()], dtype=_int_dtype(bound))
+    return ids, cols, entries, bound
+
+
+def _gather(flat, x, size):
+    """The product of the flattened rows with the vector x, as an array of
+    length size: one np.add.at over the nonzeros.  int64 when the largest
+    absolute row sum times max|x| stays below 2**63, Python ints else."""
+    ids, cols, entries, bound = flat
+    x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    dtype = _int_dtype(bound * max(int(np.abs(x).max(initial=0)), 1))
+    out = np.zeros(size, dtype=dtype)
+    np.add.at(out, ids, entries.astype(dtype, copy=False) * x.astype(dtype, copy=False)[cols])
+    return out
+
+
 @dataclass
 class SmithDecomposition:
     """u * m * v = d with u, v unimodular and d diagonal, d_1 | d_2 | ...
 
     u_rows and v_rows are the rows of u and v as sparse dicts {column:
     nonzero entry}; diagonal holds the min(rows, cols) diagonal entries of
-    d.  The dense u, d and v (lists of rows) are built on first use.
+    d.  The dense u, d and v (lists of rows) are built on first use, and so
+    are the zero rows and the flat arrays that the solve gathers through.
     """
 
     u_rows: list
@@ -89,18 +123,25 @@ class SmithDecomposition:
         return [[self.diagonal[i] if i == j else 0 for j in range(len(self.v_rows))]
                 for i in range(len(self.u_rows))]
 
-    @property
+    @cached_property
     def zero_rows(self):
         """Indices of the zero rows of d: past the diagonal, or a zero entry on it."""
         diag = self.diagonal
         return [i for i in range(len(self.u_rows)) if i >= len(diag) or not diag[i]]
 
+    @cached_property
+    def _u_flat(self):
+        return _flatten(self.u_rows)
+
+    @cached_property
+    def _v_flat(self):
+        return _flatten(self.v_rows)
+
 
 def smith_normal_form(mat):
     """Compute the Smith normal form of an integer matrix.
 
-    u*mat*v is re-multiplied on the sparse rows, as u*(mat*v), and compared
-    against the diagonal before returning.
+    The dense entry point of _sparse_smith_normal_form.
 
     Args:
         mat: list of equal-length rows of ints (may be empty).
@@ -109,11 +150,21 @@ def smith_normal_form(mat):
         SmithDecomposition with non-negative diagonal entries forming a
         divisibility chain.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    n = len(mat[0]) if mat else 0
     if any(len(row) != n for row in mat):
         raise ValueError("ragged matrix")
-    sparse = [{j: e for j, e in enumerate(row) if e} for row in mat]
+    return _sparse_smith_normal_form(map(enumerate, mat), n)
+
+
+def _sparse_smith_normal_form(rows, n: int):
+    """Smith normal form of the matrix with n columns whose rows are given
+    as (column, entry) pairs, zero entries allowed.
+
+    u*mat*v is re-multiplied on the sparse rows, as u*(mat*v), and compared
+    against the diagonal before returning.
+    """
+    sparse = [{j: e for j, e in row if e} for row in rows]
+    m = len(sparse)
     d = [dict(row) for row in sparse]
     u = [{i: 1} for i in range(m)]
     v = [{j: 1} for j in range(n)]
@@ -122,20 +173,29 @@ def smith_normal_form(mat):
         for t in (d, u):
             _addmul(t[dst], t[src], c)
 
-    # rows k.. of d have no entries left of column k: they are the trailing block
+    # rows k.. of d have no entries left of column k: they are the trailing
+    # block; rows above k hold only their diagonal entry
     for k in range(min(m, n)):
         while True:
             # the smallest nonzero entry becomes the pivot, the first in
-            # row-major order among equals; so no quotient below is zero
-            best = min(((abs(e), i, j) for i in range(k, m) for j, e in d[i].items()),
-                       default=None)
+            # row-major order among equals; so no quotient below is zero.
+            # No entry is smaller than a unit, so the first unit ends the search
+            best = None
+            for i in range(k, m):
+                if d[i]:
+                    e, j = min((abs(e), j) for j, e in d[i].items())
+                    if best is None or e < best[0]:
+                        best = e, i, j
+                        if e == 1:
+                            break
             if best is None:
                 break
             _, bi, bj = best
             d[k], d[bi], u[k], u[bi] = d[bi], d[k], u[bi], u[k]
             if bj != k:
-                for row in d + v:
-                    row.update({c: row.pop(o) for c, o in ((bj, k), (k, bj)) if o in row})
+                for row in itertools.chain(d[k:], v):
+                    if k in row or bj in row:
+                        row.update({c: row.pop(o) for c, o in ((bj, k), (k, bj)) if o in row})
             pivot = d[k][k]
 
             below = [i for i in range(k + 1, m) if k in d[i]]
@@ -143,15 +203,18 @@ def smith_normal_form(mat):
                 add_row(i, k, -(d[i][k] // pivot))
             if any(k in d[i] for i in below):
                 continue
+            # of d, only row k still holds column k
             right = [j for j in sorted(d[k]) if j > k]
             for j in right:
                 q = d[k][j] // pivot
-                for row in d + v:
+                for row in itertools.chain((d[k],), v):
                     if k in row:
                         _addmul(row, {j: row[k]}, -q)
             if any(j in d[k] for j in right):
                 continue
             # pivot must divide the whole remaining block for the chain property
+            if abs(pivot) == 1:
+                break
             stray = next((i for i in range(k + 1, m)
                           if any(e % pivot for e in d[i].values())), None)
             if stray is None:
@@ -187,13 +250,13 @@ def solve_exponents(snf, L, nums):
     m = len(snf.u_rows)
     if len(nums) != m:
         raise ValueError(f"expected {m} right-hand entries, got {len(nums)}")
-    w = [sum(e * nums[j] for j, e in row.items()) for row in snf.u_rows]
+    w = _gather(snf._u_flat, nums, m).tolist()
     if any(w[i] % L for i in snf.zero_rows):
         return None
     L2 = L * math.lcm(*(di for di in snf.diagonal if di))
     y = [(w[i] % L) * (L2 // (L * di)) if di else 0 for i, di in enumerate(snf.diagonal)]
     y += [0] * (len(snf.v_rows) - len(y))
-    return L2, [sum(e * y[j] for j, e in row.items()) % L2 for row in snf.v_rows]
+    return L2, [x % L2 for x in _gather(snf._v_flat, y, len(y)).tolist()]
 
 
 def solve_mod1(mat, v):

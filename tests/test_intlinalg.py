@@ -237,7 +237,8 @@ def _solve_by_rows(snf, L, nums):
 
 @pytest.mark.parametrize("L", [6, 2 ** 62, 2 ** 70])
 def test_solve_exponents_matches_row_loop(L):
-    # around 2**62 the products of u and v with the numerators leave int64
+    # around 2**62 the products of u and v with the numerators leave int64;
+    # the numerators come as a list and as an array (int64 below 2**63)
     rng = random.Random(f"solve {L}")
     solved = 0
     for m in _pin_matrices():
@@ -248,5 +249,6 @@ def test_solve_exponents_matches_row_loop(L):
                      [rng.randrange(-L, L) for _ in m]):
             expected = _solve_by_rows(snf, L, nums)
             assert solve_exponents(snf, L, nums) == expected
+            assert solve_exponents(snf, L, np.array(nums)) == expected
             solved += expected is not None
     assert solved > 200
