@@ -98,6 +98,31 @@ def test_enumerate_frozen_small_cases():
     assert sixteen[1].r[0][1].is_one()
 
 
+# sha256 of the ordered enumerate_braidings matrices over each group's
+# braidable classes (all of them, or a seeded sample), computed before the
+# enumeration shared its row tuples
+ENUMERATE_PINS = {
+    (2, 2, 2): (None, "30bae806caac99644aba4cac3c9c4b942da96b91197b39f401fa53dea06684bc"),
+    (4, 4): (None, "9aaafd32d3cbb8f940556b3ce65d5b109a1a489eca589a69e57b83063fdf60b7"),
+    (2, 2, 2, 2): (1, "bd2951adc1cb7b014f84e546fbbc046bfe0c7be8b79cd3c8938cbb5b63346d27"),
+}
+
+
+def test_enumerate_braidings_pinned():
+    for orders, (count, expected) in ENUMERATE_PINS.items():
+        group = Group(orders)
+        braided = [a for a in enumerate_params(group) if braiding_exists(a)[0]]
+        if count is not None:
+            braided = random.Random(f"enumerate {orders}").sample(braided, count)
+        found = [enumerate_braidings(a) for a in braided]
+        rows = [[[[str(v) for v in row] for row in R.r] for R in Rs] for Rs in found]
+        assert _digest(rows) == expected, orders
+        # an enumerated braiding equals and hashes like one built from its matrix
+        for R in found[-1][::97]:
+            again = QuasiBicharacter(group, [list(row) for row in R.r])
+            assert again == R and hash(again) == hash(R)
+
+
 def test_count_law_against_closed_form():
     for orders in ORACLE_GROUPS + [(6, 4)]:
         group = Group(orders)

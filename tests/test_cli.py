@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -102,6 +103,32 @@ def test_cocycle_eval(capsys):
                            "--params", "0,0;1;", "--x", "0,1", "--y", "3,0",
                            "--z", "3,0", "--format", "plain")
     assert code == 0 and out == "1/4\n"
+
+
+# sha256 of the concatenated stdout of `cocycle table` over TABLE_CASES per
+# format, computed before the writer joined precomputed text fragments
+TABLE_CASES = [("2,2", "0,0;0"), ("2,2", "1,1;1"), ("2,2", "1,0;1"), ("4,2", "3,1;1"),
+               ("4,2", "2,0;0"), ("2,2,2,2", "1,0,1,1;1,0,0,1,1,0;1,0,1,1")]
+TABLE_OUTPUT_PINS = {
+    "json": "984ae8b0bffd01beab2b528fc5ee4470078b276be40ab5cd9b9df52b60a27561",
+    "plain": "7bf441f0ca70ae03e1a1e5f3f2344a8e52163c33a4bd8aa3b296b6bc15b848bf",
+}
+
+
+def test_cocycle_table_output_pinned(capsys):
+    for fmt, expected in TABLE_OUTPUT_PINS.items():
+        digest = hashlib.sha256()
+        for orders, literal in TABLE_CASES:
+            code, out, err = run_cli(capsys, "cocycle", "table", "--orders", orders,
+                                     "--params", literal, "--format", fmt)
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+        assert digest.hexdigest() == expected, fmt
+    # the trivial class has no entry to list
+    assert run_cli(capsys, "cocycle", "table", "--orders", "2,2",
+                   "--format", "plain")[1] == "(all values 1)\n"
+    assert json.loads(run_cli(capsys, "cocycle", "table", "--orders", "2,2")[1]) == {
+        "orders": [2, 2], "entries": []}
 
 
 def test_table_classify_round_trip(capsys, tmp_path):

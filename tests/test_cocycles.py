@@ -1,5 +1,6 @@
 """Canonical cocycle construction and the three table verifiers."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -267,6 +268,32 @@ def test_table_json_round_trip():
     # entries only cover nontrivial cells; absent cells read as one
     empty = table_from_doc({"orders": [4, 2], "entries": []})
     assert empty == build_table(zero_params(group))
+
+
+# sha256 of table_to_json over each group's classes (all of them, or a seeded
+# sample), computed before the writer joined precomputed text fragments
+TABLE_JSON_PINS = {
+    (2, 2, 2): (None, "1cb022270caf31cdd39868823d0d14b02d79fbf35de256087f5b5f03b77be83a"),
+    (4, 3): (None, "54f15b8bdee5b9397442e1436b891b1a7274c6937b2542967c9973ae7755414c"),
+    (4, 4): (8, "f0476e3a0bc4ea00426c520f7a5279642e6d1795f38f939ceb5d61dfdcde7514"),
+    (2, 2, 2, 2): (8, "5cff80a43e92ca4545d31a2a026234723b192b44db1188b1f1074773513b12e1"),
+    (8, 8): (1, "daed44e634ec2c164c312f5348f71974009309d394b345a07f7c2f9ea8f7f353"),
+}
+
+
+def test_table_json_pinned():
+    for orders, (count, expected) in TABLE_JSON_PINS.items():
+        params = enumerate_params(Group(orders))
+        if count is not None:
+            params = random.Random(f"table json {orders}").sample(params, count)
+        digest = hashlib.sha256()
+        for a in params:
+            table = build_table(a)
+            text = table_to_json(table)
+            digest.update(text.encode() + b"\n")
+            assert table_from_json(text) == table
+            assert table_to_doc(table) == json.loads(text)
+        assert digest.hexdigest() == expected, orders
 
 
 def test_table_from_doc_later_entry_wins():
