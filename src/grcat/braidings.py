@@ -41,6 +41,14 @@ class QuasiBicharacter:
         if len(self.r) != n or any(len(row) != n for row in self.r):
             raise ValueError(f"need an {n} x {n} matrix of generator-pair values")
 
+    @classmethod
+    def _from_rows(cls, group: Group, r: tuple):
+        """The braiding of r, a tuple of n row tuples, taken without checks."""
+        R = cls.__new__(cls)
+        object.__setattr__(R, "group", group)
+        object.__setattr__(R, "r", r)
+        return R
+
 
 def _numerators(R: QuasiBicharacter, L: int = 1):
     """(L', r): R's generator-pair values as an n x n list of integer
@@ -106,23 +114,18 @@ def enumerate_braidings(a: CocycleParams):
     group = a.group
     orders = group.orders
     n = group.rank
-    slots = [(i, i) for i in range(n)]
-    slots += [(i, j) for i in range(n) for j in range(n) if i != j]
-    grids = []
-    for i, j in slots:
-        if i == j:
-            m = orders[i]
-            grids.append([Root(Fraction(a.diag[i] + m * t, m * m)) for t in range(m)])
-        else:
-            d = math.gcd(orders[i], orders[j])
-            grids.append([Root.of(u, d) for u in range(d)])
-    out = []
-    for combo in itertools.product(*grids):
-        r = [[None] * n for _ in range(n)]
-        for (i, j), v in zip(slots, combo):
-            r[i][j] = v
-        out.append(QuasiBicharacter(group, tuple(tuple(row) for row in r)))
-    return out
+    # row i holds slot (i, i) and the off-diagonal slots (i, j), which follow
+    # each other in slot order; each row tuple is built once and shared
+    rows = []
+    for i, m in enumerate(orders):
+        off = [[Root.of(u, d) for u in range(d)]
+               for d in (math.gcd(m, orders[j]) for j in range(n) if j != i)]
+        diag = [Root(Fraction(a.diag[i] + m * t, m * m)) for t in range(m)]
+        rows.append([[(*rest[:i], v, *rest[i:]) for rest in itertools.product(*off)]
+                     for v in diag])
+    return [QuasiBicharacter._from_rows(group, r)
+            for diag in itertools.product(*map(range, orders))
+            for r in itertools.product(*(rows[i][t] for i, t in enumerate(diag)))]
 
 
 # the census reads at most 8 classes and 8 (orders, lo) shapes; a larger

@@ -71,7 +71,11 @@ def _parse_element(group: Group, text: str, flag: str):
 def _load_table(args) -> co.CocycleTable:
     """The --table file, cross-checked against --orders when that is given."""
     with open(args.table, "r", encoding="utf-8") as fh:
-        table = co.table_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.table} nests deeper than a table can") from None
+    table = co.table_from_doc(doc)
     if args.orders is not None and _parse_orders(args.orders) != table.group:
         raise ValueError("--orders does not match the table file")
     return table
@@ -211,10 +215,12 @@ def _run(args) -> int:
             return 0
         params = parse_params_literal(group, args.params)
         table = co.build_table(params, max_cells=args.max_cells)
-        doc = co.table_to_doc(table)
-        plain = "\n".join(f"{e['x']} {e['y']} {e['z']} {e['w']}"
-                          for e in doc["entries"]) or "(all values 1)"
-        _emit(args, doc, plain)
+        if args.format == "plain":
+            # str and json.dumps agree on lists of ints: "[0, 1] [1, 1] [1, 0] 1/2"
+            print("\n".join(co.table_cells(table, ("", " ", " ", " ", "")))
+                  or "(all values 1)")
+        else:
+            print(co.table_to_json(table))
         return 0
 
     if args.command == "verify":

@@ -471,21 +471,44 @@ def params_from_json(text: str) -> CocycleParams:
     return params_from_doc(json.loads(text))
 
 
-def table_to_doc(table: CocycleTable) -> dict:
-    """The cells whose value is not 1, in C order, with values as "p/q"."""
+@functools.lru_cache(maxsize=64)
+def _element_texts(orders: tuple) -> tuple:
+    """Each element's exponent list as JSON ("[0, 1, 1]"), in index order."""
+    return tuple(json.dumps(list(e)) for e in itertools.product(*map(range, orders)))
+
+
+_JSON_CELL = ('{"x": ', ', "y": ', ', "z": ', ', "w": "', '"}')
+
+
+def table_cells(table: CocycleTable, frame=_JSON_CELL):
+    """The cells whose value is not 1, in C order, each as the text
+    frame[0] x frame[1] y frame[2] z frame[3] w frame[4], with x, y and z the
+    exponent lists as JSON ("[0, 1, 1]") and w the value as "p/q"."""
     L, w = table.exponents()
-    exps = [x.exps for x in table.group.elements()]
-    nums = w[w != 0].tolist()
+    N = table.group.order
+    flat = w.reshape(-1)
+    cells = np.flatnonzero(flat)
+    nums = flat[cells].tolist()
     # 0 < k < L, so str(Fraction(k, L)) is the "p/q" that str(Root) prints
-    text = {k: str(Fraction(k, L)) for k in set(nums)}
-    cells = zip(*(a.tolist() for a in np.nonzero(w)), nums)
-    return {"orders": list(table.group.orders),
-            "entries": [{"x": list(exps[x]), "y": list(exps[y]), "z": list(exps[z]),
-                         "w": text[k]} for x, y, z, k in cells]}
+    text = {k: f"{frame[3]}{Fraction(k, L)}{frame[4]}" for k in set(nums)}
+    elems = _element_texts(table.group.orders)
+    x, yz = np.divmod(cells, N * N)
+    pieces = [[head + e for e in elems] for head in frame[:3]]
+    return list(map("".join, zip(map(pieces[0].__getitem__, x.tolist()),
+                                 map(pieces[1].__getitem__, (yz // N).tolist()),
+                                 map(pieces[2].__getitem__, (yz % N).tolist()),
+                                 map(text.__getitem__, nums))))
 
 
 def table_to_json(table: CocycleTable) -> str:
-    return json.dumps(table_to_doc(table))
+    """The table document as json.dumps writes it: the nontrivial cells in C order."""
+    return (f'{{"orders": {json.dumps(list(table.group.orders))}, '
+            f'"entries": [{", ".join(table_cells(table))}]}}')
+
+
+def table_to_doc(table: CocycleTable) -> dict:
+    """The cells whose value is not 1, in C order, with values as "p/q"."""
+    return json.loads(table_to_json(table))
 
 
 def _int_list(value, what):
@@ -496,11 +519,26 @@ def _int_list(value, what):
     return tuple(value)
 
 
+def _element_index(value, what, orders):
+    """The index of the exponent list value, reduced mod the orders; ValueError
+    unless it is a list of len(orders) integers."""
+    exps = _int_list(value, what)
+    if len(exps) != len(orders):
+        raise ValueError(f"expected {len(orders)} exponents, got {len(exps)}")
+    index = 0
+    for e, m in zip(exps, orders):
+        index = index * m + e % m
+    return index
+
+
 def table_from_doc(doc: dict) -> CocycleTable:
     """Read a table document; ValueError when its shape is not the table schema.
 
     Exponent vectors are reduced mod the orders; when two entries name the
-    same cell, the later one wins.
+    same cell, the later one wins.  The entries are read in one pass: when
+    x, y and z are lists of plain ints within range they are looked up
+    directly, otherwise all three go through the full check, and each
+    distinct value text is parsed once.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
@@ -512,20 +550,29 @@ def table_from_doc(doc: dict) -> CocycleTable:
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
+    index = {e: i for i, e in enumerate(itertools.product(*map(range, orders)))}.get
+    ints = {int}
+    parsed = {}
     cells = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"a table entry must be an object, got {entry!r}")
-        cell = 0
-        for k in ("x", "y", "z"):
-            exps = _int_list(entry.get(k), f'entry "{k}"')
-            if len(exps) != len(orders):
-                raise ValueError(f"expected {len(orders)} exponents, got {len(exps)}")
-            for e, m in zip(exps, orders):
-                cell = cell * m + e % m
+        x, y, z = entry.get("x"), entry.get("y"), entry.get("z")
+        # True and 1.0 hash like 1, so only lists of exact ints are looked up
+        i = j = k = None
+        if type(x) is type(y) is type(z) is list and set(map(type, x + y + z)) == ints:
+            i, j, k = index(tuple(x)), index(tuple(y)), index(tuple(z))
+        if i is None or j is None or k is None:
+            i, j, k = (_element_index(v, f'entry "{c}"', orders)
+                       for c, v in zip("xyz", (x, y, z)))
+        cell = (i * n + j) * n + k
         if "w" not in entry:
             raise ValueError(f'a table entry has no "w": {entry!r}')
-        cells[cell] = parse_exponent(entry["w"])
+        text = entry["w"]
+        value = parsed.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = parsed[text] = parse_exponent(text)
+        cells[cell] = value
     L = math.lcm(*{q for _, q in cells.values()})
     w = np.zeros(n ** 3, dtype=_int_dtype(5 * L))
     if cells:

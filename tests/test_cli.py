@@ -181,6 +181,16 @@ def test_classify_top_level_array_exits_2(capsys, tmp_path):
     assert err.startswith("grcat:") and err.count("\n") == 1
 
 
+def test_deeply_nested_table_exits_2(capsys, tmp_path):
+    # the JSON reader's recursion limit becomes one line, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (("classify",), ("verify", "pentagon")):
+        code, out, err = run_cli(capsys, *argv, "--table", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("grcat:") and err.count("\n") == 1 and "nests" in err
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"orders": 5, "entries": []}, '"orders" must be a list of integers'),
     ({"orders": "2", "entries": []}, '"orders" must be a list of integers'),

@@ -21,7 +21,8 @@ from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
 from grcat.cohomology import TensorCochain3, h3_order
 from grcat.complexes import pullback_3cochain
 from grcat.groups import Group
-from grcat.roots import Root
+from grcat.intlinalg import _int_dtype
+from grcat.roots import Root, parse_exponent
 
 
 def zero_params(group):
@@ -466,6 +467,128 @@ def table_docs(draw):
         else:
             target[key] = draw(JSON)
     return doc
+
+
+@st.composite
+def adversarial_table_docs(draw):
+    """A table document on a small group whose entries are either all
+    readable (exponents out of range, negative or past 2^64, repeated cells,
+    "1/-2", a later "0/5" clearing a cell) or mixed with what the reader must
+    refuse: bools, floats, ragged or non-list coordinates, a missing or
+    non-string "w", "1/0" and non-object entries."""
+    orders = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    n = len(orders)
+    digit = st.integers(-5, 8) | st.sampled_from([2 ** 70, -2 ** 70, 2 ** 63])
+    coordinate = (st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  | st.lists(digit, min_size=n, max_size=n))
+    value = st.sampled_from(["1/2", "1/4", "0/5", "0", "2/4", "-3/8", "1/-2", "5/3"])
+    if draw(st.booleans()):
+        bad = st.sampled_from([True, False, 1.0, 0.0, None, "1", [1]])
+        coordinate = st.one_of(
+            coordinate,
+            st.lists(digit | bad, min_size=n, max_size=n),
+            st.lists(st.integers(0, 3), max_size=n + 1),
+            st.integers(0, 3) | st.none() | st.text(max_size=2) | st.just({"0": 1}),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple))
+        value = value | st.sampled_from(["1/0", "x", "1/", 1, 0.5, None, ["1/2"]])
+    entry = st.fixed_dictionaries({"x": coordinate, "y": coordinate, "z": coordinate},
+                                  optional={"w": value})
+    if draw(st.booleans()):
+        entry = entry | st.sampled_from([[1], "x", None])
+    return {"orders": orders, "entries": draw(st.lists(entry, max_size=8))}
+
+
+def _int_list_reference(value, what):
+    if not (isinstance(value, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def reference_table_from_doc(doc):
+    """The table reader as it was before it looked exponent lists up: every
+    entry through the full check and every value parsed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
+    group = Group(_int_list_reference(doc.get("orders"), '"orders"'))
+    orders = group.orders
+    n = group.order
+    if n ** 3 > 10 ** 6:
+        raise ValueError("a table needs |G|^3 cells; above 10^6 (|G| > 100) is refused")
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
+    cells = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"a table entry must be an object, got {entry!r}")
+        cell = 0
+        for k in ("x", "y", "z"):
+            exps = _int_list_reference(entry.get(k), f'entry "{k}"')
+            if len(exps) != len(orders):
+                raise ValueError(f"expected {len(orders)} exponents, got {len(exps)}")
+            for e, m in zip(exps, orders):
+                cell = cell * m + e % m
+        if "w" not in entry:
+            raise ValueError(f'a table entry has no "w": {entry!r}')
+        cells[cell] = parse_exponent(entry["w"])
+    L = math.lcm(*{q for _, q in cells.values()})
+    w = np.zeros(n ** 3, dtype=_int_dtype(5 * L))
+    if cells:
+        w[list(cells)] = np.array([p * (L // q) % L for p, q in cells.values()],
+                                  dtype=w.dtype)
+    return CocycleTable._from_exponents(group, L, w.reshape(n, n, n))
+
+
+def read_table_both_ways(doc):
+    """What table_from_doc and the reference reader make of doc: the table's
+    group and exponents, or the ValueError message."""
+    outcomes = []
+    for reader in (table_from_doc, reference_table_from_doc):
+        try:
+            table = reader(doc)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            L, w = table.exponents()
+            outcomes.append((table.group, L, w.dtype, w.tolist()))
+    return outcomes
+
+
+class Exponent(int):
+    pass
+
+
+def one_entry(**fields):
+    entry = {"x": [1], "y": [1], "z": [1], "w": "1/2"}
+    entry.update(fields)
+    return {"orders": [2], "entries": [entry]}
+
+
+@pytest.mark.parametrize("doc", [
+    one_entry(x=[True]), one_entry(y=[1.0]), one_entry(z=[False]),
+    one_entry(x=[2 ** 70 + 1]), one_entry(y=[-1]), one_entry(z=[Exponent(1)]),
+    one_entry(x=[1, 0]), one_entry(y=[]), one_entry(z=5), one_entry(x=(1,)),
+    one_entry(w=1), one_entry(w=None), one_entry(w="1/0"), one_entry(w="1/-2"),
+    {"orders": [2], "entries": [{"x": [1], "y": [1], "z": [1]}]},
+    {"orders": [2], "entries": [{"x": [1], "y": [1], "z": [1], "w": "1/4"},
+                                {"x": [3], "y": [1], "z": [-1], "w": "1/2"}]},
+    {"orders": [2], "entries": [{"x": [1], "y": [1], "z": [1], "w": "1/3"},
+                                {"x": [1], "y": [1], "z": [1], "w": "0/5"}]},
+    {"orders": [2], "entries": [{"x": [1], "y": [1], "z": [1], "w": "1/0"},
+                                {"x": [True], "y": [1], "z": [1], "w": "1/2"}]},
+])
+def test_table_reader_matches_reference_examples(doc):
+    ours, reference = read_table_both_ways(doc)
+    assert ours == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_docs() | adversarial_table_docs())
+def test_table_reader_matches_reference(doc):
+    # the same table, exponents and dtype included, or the same ValueError
+    ours, reference = read_table_both_ways(doc)
+    assert ours == reference
 
 
 @st.composite
