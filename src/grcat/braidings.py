@@ -124,8 +124,8 @@ def enumerate_braidings(a: CocycleParams):
         rows.append([[(*rest[:i], v, *rest[i:]) for rest in itertools.product(*off)]
                      for v in diag])
     return [QuasiBicharacter._from_rows(group, r)
-            for diag in itertools.product(*map(range, orders))
-            for r in itertools.product(*(rows[i][t] for i, t in enumerate(diag)))]
+            for digits in itertools.product(*map(range, orders))
+            for r in itertools.product(*(rows[i][t] for i, t in enumerate(digits)))]
 
 
 # the census reads at most 8 classes and 8 (orders, lo) shapes; a larger

@@ -74,7 +74,7 @@ def _load_table(args) -> co.CocycleTable:
         try:
             doc = json.load(fh)
         except RecursionError:
-            raise ValueError(f"{args.table} nests deeper than a table can") from None
+            raise ValueError(f"{args.table} is nested too deeply to read as JSON") from None
     table = co.table_from_doc(doc)
     if args.orders is not None and _parse_orders(args.orders) != table.group:
         raise ValueError("--orders does not match the table file")

@@ -188,7 +188,7 @@ def test_deeply_nested_table_exits_2(capsys, tmp_path):
     for argv in (("classify",), ("verify", "pentagon")):
         code, out, err = run_cli(capsys, *argv, "--table", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("grcat:") and err.count("\n") == 1 and "nests" in err
+        assert err.startswith("grcat:") and err.count("\n") == 1 and "nested too deeply" in err
 
 
 @pytest.mark.parametrize("doc, message", [
