@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycles import CocycleParams, build_table, pair_indices, triple_indices
+from .cocycles import (CocycleParams, _first_witness, _power_product, build_table,
+                       pair_indices, triple_indices)
 from .groups import Group, GroupElement
 from .intlinalg import _int_dtype
 from .roots import Root, _common_denominator
@@ -96,9 +97,8 @@ def braiding_count(a: CocycleParams) -> int:
     if not braiding_exists(a)[0]:
         return 0
     orders = a.group.orders
-    return math.prod(orders) * math.prod(
-        math.gcd(mi, mj) for i, mi in enumerate(orders)
-        for j, mj in enumerate(orders) if i != j)
+    return _power_product([*orders, *(math.gcd(mi, mj) for i, mi in enumerate(orders)
+                                     for j, mj in enumerate(orders) if i != j)])
 
 
 def enumerate_braidings(a: CocycleParams):
@@ -124,7 +124,7 @@ def enumerate_braidings(a: CocycleParams):
         rows.append([[(*rest[:i], v, *rest[i:]) for rest in itertools.product(*off)]
                      for v in diag])
     return [QuasiBicharacter._from_rows(group, r)
-            for digits in itertools.product(*map(range, orders))
+            for digits in group.digits().tolist()
             for r in itertools.product(*(rows[i][t] for i, t in enumerate(digits)))]
 
 
@@ -148,12 +148,12 @@ def _hexagon_cells(orders: tuple, lo: int):
     """(c1, c2, c3): flat indices x*N + y of the three R terms of every
     (hexagon, triple), hexagon 1's triples on [lo, N)^3 in C order, then
     hexagon 2's.  Hexagon 1 reads R(xy, z), R(x, z), R(y, z); hexagon 2
-    reads R(x, yz), R(x, y), R(x, z).  int32 while N^2 fits."""
+    reads R(x, yz), R(x, y), R(x, z).  int32: every caller builds the
+    cocycle table first, whose 10^6-cell guard keeps N <= 100."""
     group = Group(orders)
     N = group.order
-    dtype = np.int32 if N * N < 2 ** 31 else np.int64
-    mul = group.mul_table().astype(dtype)
-    x, y, z = np.indices((N - lo,) * 3, dtype=dtype).reshape(3, -1) + lo
+    mul = group.mul_table().astype(np.int32)
+    x, y, z = np.indices((N - lo,) * 3, dtype=np.int32).reshape(3, -1) + lo
     return tuple(np.concatenate(c) for c in zip((mul[x, y] * N + z, x * N + z, y * N + z),
                                                  (x * N + mul[y, z], x * N + y, x * N + z)))
 
@@ -172,7 +172,7 @@ def _hexagon_forms(orders: tuple, M, lo: int):
 def _product_basis(orders: tuple):
     """B with B[s*n + t, x*N + y] = i_s * j_t, so that r @ B is the table of
     the product-form braiding with generator-pair exponents r."""
-    E = np.array([x.exps for x in Group(orders).elements()], dtype=np.int64)
+    E = Group(orders).digits()
     B = np.einsum("xs,yt->stxy", E, E).reshape(len(orders) ** 2, -1)
     B.setflags(write=False)
     return B
@@ -243,14 +243,12 @@ def verify_hexagons(a: CocycleParams, R: QuasiBicharacter):
     res = _hexagon_forms(group.orders, _product_form(group, r, L), 1)
     res -= off.astype(res.dtype, copy=False) * (L // Lw)
     res %= L
-    bad1, bad2 = res.reshape(2, -1) != 0
-    bad = bad1 | bad2
-    if not bad.any():
+    bad1, bad2 = res.reshape((2,) + (group.order - 1,) * 3) != 0
+    witness = _first_witness(group, bad1 | bad2, 1)
+    if witness is None:
         return None
-    first = int(bad.argmax())
-    K = group.order - 1
-    x, y, z = (group.from_index(int(i) + 1) for i in np.unravel_index(first, (K, K, K)))
-    return (x, y, z, 1 if bad1[first] else 2)
+    # hexagon 1 fails at the first failing triple iff its own first failure is there
+    return (*witness, 1 if _first_witness(group, bad1, 1) == witness else 2)
 
 
 def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6):
@@ -302,7 +300,7 @@ def brute_force_full_function_space(a: CocycleParams, values_order: int,
         raise ValueError(f"values order must be positive, got {values_order}")
     group = a.group
     N = group.order
-    elems = list(group.elements())
+    elems = group.elements()
     free = [p * N + q for p in range(N) for q in range(N) if p and q or not prune_identity]
     total = values_order ** len(free)
     if total > max_candidates:

@@ -37,10 +37,9 @@ def parse_params_literal(group: Group, text: str) -> co.CocycleParams:
         raise ValueError(f"params literal has {len(parts)} sections, at most 3 allowed")
     while len(parts) < 3:
         parts.append("")
-    n = group.rank
-    expected = [n, len(co.pair_indices(n)), len(co.triple_indices(n))]
     filled = []
-    for part, want, label in zip(parts, expected, ("diagonal", "pair", "triple")):
+    for part, want, label in zip(parts, co.slot_counts(group.rank),
+                                 ("diagonal", "pair", "triple")):
         try:
             got = [int(v) for v in part.split(",") if v.strip() != ""]
         except ValueError:
@@ -87,6 +86,15 @@ def _emit(args, doc, plain=None):
         print(str(doc) if plain is None else plain)
     else:
         print(json.dumps(doc))
+
+
+def _count_text(count: int) -> str:
+    """count in decimal, or ValueError when it is too long for Python to print."""
+    try:
+        return str(count)
+    except ValueError:
+        raise ValueError(f"the count is a {count.bit_length()}-bit number, too long "
+                         "to print in decimal") from None
 
 
 def _exps(x):
@@ -179,7 +187,8 @@ def _table_for_verify(args):
 
 def _check_listing(count, what, max_cells):
     if count > max_cells:
-        raise ValueError(f"listing would hold {count} {what}, above the {max_cells} bound")
+        raise ValueError(f"listing would hold {_count_text(count)} {what}, "
+                         f"above the {max_cells} bound")
 
 
 def _emit_braidings(args, found):
@@ -191,14 +200,14 @@ def _emit_braidings(args, found):
 def _run(args) -> int:
     if args.command == "h3":
         group = _parse_orders(args.orders)
-        _emit(args, coh.h3_order(group))
+        print(_count_text(coh.h3_order(group)))
         return 0
 
     if args.command == "cocycle":
         group = _parse_orders(args.orders)
         if args.subcommand == "list":
             if args.count:
-                _emit(args, coh.h3_order(group))
+                print(_count_text(coh.h3_order(group)))
                 return 0
             _check_listing(coh.h3_order(group), "parameter choices", args.max_cells)
             params = co.enumerate_params(group)
@@ -268,7 +277,7 @@ def _run(args) -> int:
         group = _parse_orders(args.orders)
         params = parse_params_literal(group, args.params)
         if args.count:
-            _emit(args, br.braiding_count(params))
+            print(_count_text(br.braiding_count(params)))
         else:
             _check_listing(br.braiding_count(params), "braidings", args.max_cells)
             _emit_braidings(args, br.enumerate_braidings(params))
@@ -288,11 +297,9 @@ def _run(args) -> int:
         elif args.subcommand == "braidings":
             _emit_braidings(args, found)
         else:
+            # each table is keyed in index order, lexicographic in the exponents
             docs = [{"entries": [{"x": _exps(x), "y": _exps(y), "r": str(v)}
-                                 for (x, y), v in sorted(
-                                     table.items(),
-                                     key=lambda kv: (kv[0][0].exps, kv[0][1].exps))
-                                 if not v.is_one()]}
+                                 for (x, y), v in table.items() if not v.is_one()]}
                     for table in found]
             _emit(args, docs, "\n".join(json.dumps(d) for d in docs) or "(none)")
         return 0

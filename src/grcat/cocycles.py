@@ -18,6 +18,7 @@ of triples.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -76,14 +77,30 @@ class CocycleParams:
         return self.triples[triple_indices(self.group.rank).index((r, s, t))]
 
 
+def slot_counts(n: int) -> tuple:
+    """The number of diagonal, pair and triple parameter slots at rank n;
+    ValueError above 10^6 slots in all (rank 182 and up)."""
+    counts = (n, math.comb(n, 2), math.comb(n, 3))
+    if sum(counts) > 10 ** 6:
+        raise ValueError(f"rank {n} has {sum(counts)} parameter slots, above the 10^6 bound")
+    return counts
+
+
 @functools.lru_cache(maxsize=256)
 def slot_moduli(orders: tuple) -> tuple:
     """The modulus of each parameter slot: m_l per factor, gcd(m_s, m_t) per
-    pair s < t and gcd(m_r, m_s, m_t) per triple r < s < t, in slot order."""
-    n = len(orders)
+    pair s < t and gcd(m_r, m_s, m_t) per triple r < s < t, in slot order.
+    Refuses more than 10^6 slots before building any."""
+    n, _, _ = slot_counts(len(orders))
     return (orders + tuple(math.gcd(orders[s], orders[t]) for s, t in pair_indices(n))
             + tuple(math.gcd(orders[r], orders[s], orders[t])
                     for r, s, t in triple_indices(n)))
+
+
+def _power_product(values) -> int:
+    """math.prod(values) with equal values taken as one power: one factor at a
+    time costs the square of the product's size."""
+    return math.prod(m ** k for m, k in collections.Counter(values).items())
 
 
 def enumerate_params(group: Group):
@@ -364,8 +381,7 @@ def pullback_3cochain(f: TensorCochain3, group: Group,
         raise ValueError(f"table would need {N ** 3} cells, above the {max_cells} bound")
     L, nums = f.exponents()
     dtype = _int_dtype(len(nums) * L * max(group.orders) ** 3)
-    digits = np.array(list(itertools.product(*(range(m) for m in group.orders))),
-                      dtype=np.int64).T.astype(dtype)
+    digits = group.digits().T.astype(dtype)
     i, j, k = (digits.reshape(group.rank, *shape)
                for shape in ((N, 1, 1), (1, N, 1), (1, 1, N)))
     w = np.zeros((N, N, N), dtype=dtype)
@@ -382,11 +398,12 @@ def build_table(params: CocycleParams, max_cells: int = 10 ** 6) -> CocycleTable
     return pullback_3cochain(representative_cochain(params), params.group, max_cells)
 
 
-def _first_witness(group: Group, bad):
-    """The elements at the first True cell of bad in C order, or None."""
+def _first_witness(group: Group, bad, offset: int = 0):
+    """The elements at the first True cell of bad in C order, each axis
+    starting at element index offset, or None."""
     if not bad.any():
         return None
-    return tuple(group.from_index(int(i))
+    return tuple(group.from_index(int(i) + offset)
                  for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
@@ -472,9 +489,9 @@ def params_from_json(text: str) -> CocycleParams:
 
 
 @functools.lru_cache(maxsize=64)
-def _element_texts(orders: tuple) -> tuple:
+def _element_texts(group: Group) -> tuple:
     """Each element's exponent list as JSON ("[0, 1, 1]"), in index order."""
-    return tuple(json.dumps(list(e)) for e in itertools.product(*map(range, orders)))
+    return tuple(map(json.dumps, group.digits().tolist()))
 
 
 _JSON_CELL = ('{"x": ', ', "y": ', ', "z": ', ', "w": "', '"}')
@@ -491,7 +508,7 @@ def table_cells(table: CocycleTable, frame=_JSON_CELL):
     nums = flat[cells].tolist()
     # 0 < k < L, so str(Fraction(k, L)) is the "p/q" that str(Root) prints
     text = {k: f"{frame[3]}{Fraction(k, L)}{frame[4]}" for k in set(nums)}
-    elems = _element_texts(table.group.orders)
+    elems = _element_texts(table.group)
     x, yz = np.divmod(cells, N * N)
     pieces = [[head + e for e in elems] for head in frame[:3]]
     return list(map("".join, zip(map(pieces[0].__getitem__, x.tolist()),
@@ -519,18 +536,6 @@ def _int_list(value, what):
     return tuple(value)
 
 
-def _element_index(value, what, orders):
-    """The index of the exponent list value, reduced mod the orders; ValueError
-    unless it is a list of len(orders) integers."""
-    exps = _int_list(value, what)
-    if len(exps) != len(orders):
-        raise ValueError(f"expected {len(orders)} exponents, got {len(exps)}")
-    index = 0
-    for e, m in zip(exps, orders):
-        index = index * m + e % m
-    return index
-
-
 def table_from_doc(doc: dict) -> CocycleTable:
     """Read a table document; ValueError when its shape is not the table schema.
 
@@ -543,14 +548,13 @@ def table_from_doc(doc: dict) -> CocycleTable:
     if not isinstance(doc, dict):
         raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
     group = Group(_int_list(doc.get("orders"), '"orders"'))
-    orders = group.orders
     n = group.order
     if n ** 3 > 10 ** 6:
         raise ValueError("a table needs |G|^3 cells; above 10^6 (|G| > 100) is refused")
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
-    index = {e: i for i, e in enumerate(itertools.product(*map(range, orders)))}.get
+    index = {e: i for i, e in enumerate(map(tuple, group.digits().tolist()))}.get
     ints = {int}
     parsed = {}
     cells = {}
@@ -563,7 +567,7 @@ def table_from_doc(doc: dict) -> CocycleTable:
         if type(x) is type(y) is type(z) is list and set(map(type, x + y + z)) == ints:
             i, j, k = index(tuple(x)), index(tuple(y)), index(tuple(z))
         if i is None or j is None or k is None:
-            i, j, k = (_element_index(v, f'entry "{c}"', orders)
+            i, j, k = (group.element_index(group.element(_int_list(v, f'entry "{c}"')))
                        for c, v in zip("xyz", (x, y, z)))
         cell = (i * n + j) * n + k
         if "w" not in entry:

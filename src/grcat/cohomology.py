@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 # representative_cochain is not used here; callers import it from this module too
-from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, degree3_indices,
-                       pair_indices, representative_cochain, slot_moduli, triple_indices,
-                       verify_normalized, verify_pentagon)
+from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _power_product,
+                       degree3_indices, pair_indices, representative_cochain, slot_moduli,
+                       triple_indices, verify_normalized, verify_pentagon)
 from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
 from .intlinalg import (_int_dtype, _sparse_smith_normal_form, smith_normal_form,
@@ -123,7 +123,7 @@ def is_tensor_coboundary(f: TensorCochain3):
 
 def h3_order(group: Group) -> int:
     """Size of the degree-3 cohomology group, as a product of gcds."""
-    return math.prod(slot_moduli(group.orders))
+    return _power_product(slot_moduli(group.orders))
 
 
 def reduce_to_normal_form(f: TensorCochain3):

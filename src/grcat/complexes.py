@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .cocycles import degree3_indices, pullback_3cochain
@@ -197,7 +196,7 @@ class _Shape:
         self.elements, self.mul = group.elements(), group.mul_table().tolist()
         # place[l] is the index weight of factor l; twist and norm hold the
         # strand coefficients g_l - 1 and 1 + g_l + ... + g_l^(m_l - 1)
-        self.place = [math.prod(group.orders[l + 1:]) for l in range(group.rank)]
+        self.place = group.place_values
         self.twist = [{w: 1, 0: -1} for w in self.place]
         self.norm = [{k * w: 1 for k in range(m)} for m, w in zip(group.orders, self.place)]
         # strand[l][a % 2][g]: the indices g' with g' Phi_(a+1) a term of the

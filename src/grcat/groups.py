@@ -7,11 +7,11 @@ fixed ordering.  Elements are exponent vectors reduced componentwise.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -23,10 +23,7 @@ class Group:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        for m in self.orders:
-            if not isinstance(m, numbers.Integral):
-                raise ValueError(f"cyclic factor order {m!r} is not an integer")
-        orders = tuple(int(m) for m in self.orders)
+        orders = tuple(_integer(m, "cyclic factor order") for m in self.orders)
         if len(orders) == 0:
             raise ValueError("need at least one cyclic factor")
         for m in orders:
@@ -49,7 +46,7 @@ class Group:
         """Build an element from any integer exponent sequence (reduced here)."""
         if len(exps) != self.rank:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
-        return GroupElement(self, tuple(int(e) for e in exps))
+        return GroupElement(self, tuple(_integer(e, "exponent") for e in exps))
 
     def generator(self, i: int) -> "GroupElement":
         """The i-th standard generator (unit exponent vector), 0-based."""
@@ -59,44 +56,42 @@ class Group:
         exps[i] = 1
         return GroupElement(self, tuple(exps))
 
+    @cached_property
+    def place_values(self) -> tuple[int, ...]:
+        """The index weight of each factor, the product of the orders after it:
+        element_index(x) is the sum of x.exps[l] * place_values[l]."""
+        return tuple(prod(self.orders[l + 1:]) for l in range(self.rank))
+
+    @lru_cache(maxsize=64)
+    def digits(self) -> np.ndarray:
+        """Read-only (N, rank) int64 array: row k is the exponent vector of
+        element k, the exponent vectors in lexicographic order."""
+        digits = np.indices(self.orders, dtype=np.int64).reshape(self.rank, -1).T
+        digits.setflags(write=False)
+        return digits
+
     def elements(self):
-        """All group elements in lexicographic order on exponent vectors."""
-        return [GroupElement(self, exps)
-                for exps in itertools.product(*(range(m) for m in self.orders))]
+        """All group elements in index order, the rows of digits()."""
+        return [GroupElement(self, exps) for exps in zip(*self.digits().T.tolist())]
 
     @lru_cache(maxsize=64)
     def mul_table(self) -> np.ndarray:
-        """Read-only (N, N) array: entry [a, b] is the index of x_a * x_b.
-
-        Indices follow the lexicographic order of elements(); computed once
-        per group.
-        """
-        digits = np.array(list(itertools.product(*(range(m) for m in self.orders))),
-                          dtype=np.int64)
-        weights = np.array([prod(self.orders[k + 1:]) for k in range(self.rank)],
-                           dtype=np.int64)
-        table = ((digits[:, None, :] + digits[None, :, :])
-                 % np.array(self.orders, dtype=np.int64)) @ weights
+        """Read-only (N, N) array: entry [a, b] is the index of x_a * x_b;
+        computed once per group."""
+        table = (self.digits()[:, None] + self.digits()) % self.orders @ self.place_values
         table.setflags(write=False)
         return table
 
     def element_index(self, x: "GroupElement") -> int:
-        """Lexicographic rank of x within elements()."""
+        """The index of x: its exponents weighted by the place values."""
         if x.group != self:
             raise ValueError("element belongs to a different group")
-        idx = 0
-        for e, m in zip(x.exps, self.orders):
-            idx = idx * m + e
-        return idx
+        return sum(map(mul, x.exps, self.place_values))
 
     def from_index(self, idx: int) -> "GroupElement":
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range for group of order {self.order}")
-        exps = []
-        for m in reversed(self.orders):
-            exps.append(idx % m)
-            idx //= m
-        return GroupElement(self, tuple(reversed(exps)))
+        return GroupElement(self, tuple(idx // p for p in self.place_values))
 
 
 @dataclass(frozen=True)
@@ -116,6 +111,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def __pow__(self, k: int) -> "GroupElement":
+        k = _integer(k, "power")
         return GroupElement(self.group, tuple(e * k for e in self.exps))
 
     def inverse(self) -> "GroupElement":
@@ -126,6 +122,13 @@ class GroupElement:
 
     def __repr__(self):
         return f"g{self.exps}"
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError for bools and values that are not integers."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def carry(i: int, j: int, m: int) -> int:

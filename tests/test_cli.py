@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from grcat.cli import main, params_literal, parse_params_literal
 from grcat.cocycles import (CocycleParams, build_table, enumerate_params,
                             params_to_doc, table_to_json)
 from grcat.groups import Group
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -413,8 +418,30 @@ def test_params_literal_round_trip():
         parse_params_literal(z2, "1;;;")
 
 
+@pytest.mark.parametrize("rank", [100, 300])
+def test_counts_at_high_rank_are_bounded(capsys, rank):
+    # rank 100: H^3 has order 2^166750, past Python's 4,300-digit str limit,
+    # and 2^10000 braidings per class print in full; rank 300 has 4,500,250
+    # parameter slots, refused before any is built
+    orders = ",".join(["2"] * rank)
+    too_long = "grcat: the count is a 166751-bit number, too long to print in decimal\n"
+    slots = "grcat: rank 300 has 4500250 parameter slots, above the 10^6 bound\n"
+    for argv, want in ((("h3",), {100: (2, "", too_long), 300: (2, "", slots)}),
+                       (("braidings", "--count", "--params", ""),
+                        {100: (0, f"{2 ** 10000}\n", ""), 300: (2, "", slots)})):
+        start = time.process_time()
+        got = run_cli(capsys, *argv, "--orders", orders)
+        assert time.process_time() - start < 2, argv
+        assert got == want[rank], argv
+        assert "set_int_max_str_digits" not in got[2]
+
+
 def test_module_entry_point():
+    # a fresh checkout runs without an install: src goes on the child's path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-m", "grcat", "h3",
                            "--orders", "4,2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "16\n"

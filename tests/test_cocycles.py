@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table,
                             enumerate_params, eval_cocycle, params_from_doc,
                             params_from_json, params_to_doc, params_to_json,
-                            table_from_doc, table_from_json, table_to_doc,
-                            table_to_json, verify_normalized, verify_pentagon,
-                            verify_symmetry_last_two)
+                            slot_counts, slot_moduli, table_from_doc, table_from_json,
+                            table_to_doc, table_to_json, verify_normalized,
+                            verify_pentagon, verify_symmetry_last_two)
 from grcat.cohomology import TensorCochain3, h3_order
 from grcat.complexes import pullback_3cochain
 from grcat.groups import Group
@@ -340,6 +340,12 @@ def test_param_validation():
         CocycleParams(group, (0, 0), (), ())
     with pytest.raises(ValueError):
         CocycleParams(Group((2, 2, 2)), (0, 0, 0), (0, 0, 0), (2,))
+    # at most 10^6 slots: rank 181 has 988,441, and rank 182 is refused
+    # before any slot is built
+    assert slot_counts(181) == (181, 16290, 971970)
+    with pytest.raises(ValueError, match=r"^rank 182 has 1004913 parameter slots, "
+                                         r"above the 10\^6 bound$"):
+        slot_moduli((2,) * 182)
 
 
 @pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "str"])

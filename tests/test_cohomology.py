@@ -160,6 +160,8 @@ def test_h3_order_values():
         group = Group(orders)
         assert h3_order(group) == value
         assert h3_order(group) == len(enumerate_params(group))
+    # 100 + 4,950 + 161,700 slots of modulus 2
+    assert h3_order(Group((2,) * 100)) == 2 ** 166750
 
 
 def test_reduce_round_trip_every_class():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ def test_constructor_rejects_bad_orders():
         Group((2, 0))
     with pytest.raises(ValueError):
         Group((2, -3))
-    # orders are integers: no truncation of 2.9 to 2, no parsing of "2"
-    for bad in ((2.9,), (2.0,), ("2",), (2, None)):
+    # orders are integers: no truncation of 2.9 to 2, no parsing of "2", no bools
+    for bad in ((2.9,), (2.0,), ("2",), (2, None), (True, 2)):
         with pytest.raises(ValueError, match="is not an integer"):
             Group(bad)
     assert Group((np.int64(4), 2)).orders == (4, 2)
@@ -55,6 +57,22 @@ def test_element_reduction():
     x = g.element((5, 3))
     assert x.exps == (1, 1)
     assert g.element((-1, -1)).exps == (3, 1)
+
+
+def test_exponents_and_powers_must_be_integers():
+    # no truncation of 1.7, no True for 1, no float exponents from ** 1.5
+    g = Group((4, 2))
+    for bad in ([1.7, True], [1, True], [2.0, 0], ["1", 0], [None, 0], [Fraction(1), 0]):
+        with pytest.raises(ValueError, match=r"^exponent .* is not an integer$"):
+            g.element(bad)
+    x = g.generator(0)
+    for bad in (1.5, 2.0, True, None, Fraction(2)):
+        with pytest.raises(ValueError, match=r"^power .* is not an integer$"):
+            x ** bad
+    # numpy integers stay accepted and become ints
+    y = g.element([np.int64(5), np.int8(-1)])
+    assert y == g.element([1, 1]) and all(type(e) is int for e in y.exps)
+    assert x ** np.int64(3) == g.element([3, 0])
 
 
 def test_element_length_check():
@@ -93,6 +111,7 @@ def test_group_axioms_exhaustive_up_to_64():
             for b, y in enumerate(elems):
                 T[a, b] = g.element_index(x * y)
         assert (T[T] == T[:, T]).all()
+        assert (g.mul_table() == T).all() and not g.mul_table().flags.writeable
 
 
 def test_associativity_sampled_larger():
@@ -119,10 +138,21 @@ def test_cross_group_multiplication_rejected():
 
 
 def test_indexing_round_trip():
+    # one layout: digits() holds the exponent vectors in lexicographic order,
+    # the place values weight them, and elements(), from_index and
+    # element_index all read it
+    for orders in factorizations_up_to(64):
+        g = Group(orders)
+        digits = g.digits()
+        assert not digits.flags.writeable
+        assert digits.tolist() == [list(e) for e in itertools.product(*map(range, orders))]
+        assert g.place_values == tuple(math.prod(orders[l + 1:]) for l in range(g.rank))
+        assert (digits @ g.place_values == np.arange(g.order)).all()
+        assert [x.exps for x in g.elements()] == list(map(tuple, digits.tolist()))
+        for idx, row in enumerate(digits.tolist()):
+            x = g.from_index(idx)
+            assert list(x.exps) == row and g.element_index(x) == idx
     g = Group((3, 2, 2))
-    for idx, x in enumerate(g.elements()):
-        assert g.element_index(x) == idx
-        assert g.from_index(idx) == x
     with pytest.raises(ValueError):
         g.from_index(g.order)
     with pytest.raises(ValueError):
