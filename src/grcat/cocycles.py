@@ -55,8 +55,15 @@ class CocycleParams:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "triples", tuple(self.triples))
         n = self.group.rank
+        moduli = slot_moduli(self.group.orders)
+        # exact ints inside their moduli, in blocks of the right lengths, pass
+        # in one sweep; anything else gets its verdict from the loop below
+        if ((len(self.diag), len(self.pairs), len(self.triples)) == slot_counts(n)
+                and all(type(a) is int and 0 <= a < d for a, d in
+                        zip(self.diag + self.pairs + self.triples, moduli))):
+            return
         # one iterator over the moduli, consumed block by block
-        moduli = iter(slot_moduli(self.group.orders))
+        moduli = iter(moduli)
         for name, noun, values, slots in (
                 ("diagonal", "factor", self.diag, range(n)),
                 ("pair", "factors", self.pairs, pair_indices(n)),

@@ -14,8 +14,12 @@ coefficient, a bar symbol being a tuple of nonzero indices and a tensor
 generator its exponent tuple.  One recursion (_Map.lift) builds both maps
 from the contracting homotopy of its target complex, _contract on the bar
 side and _contract_tensor on the tensor side; _extend extends them
-linearly, and _Map.first_failures certifies that each commutes with the
-differentials.  Both maps are cached per group shape.  ChainVector,
+linearly.  Both maps are cached per group shape.  verify_chain_map and
+verify_tensor_to_bar certify that each commutes with the differentials by
+running the same recursion on index arrays (_square_failures), a block of
+generators at a time, with every chain of a degree held as parallel arrays
+of terms (_Terms); _Map.first_failures, the per-generator form of that
+check, is kept as its test oracle.  ChainVector,
 GroupRingElement, BarGenerator and TensorGenerator keep the public form,
 keyed on GroupElement; they share one formal-sum rule (_FormalSum) and are
 converted to and from indices only at the public entry points (_indices
@@ -28,9 +32,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .cocycles import degree3_indices, pullback_3cochain
 from .groups import Group, GroupElement
+from .intlinalg import _int_dtype
 
 
 class _FormalSum:
@@ -425,7 +433,8 @@ class _Map:
         return self.contract(self.shape, self.below(gen))
 
     def first_failures(self, generators):
-        """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3.
+        """The square check d_target(image(x)) == image(d_source(x)) in degrees 1..3,
+        one generator at a time: the oracle of _square_failures.
 
         Since image(x) is contract(below) with below = image(d_source(x)),
         each square computes below once and compares d_target(contract(below))
@@ -475,6 +484,248 @@ def tensor_to_bar(group: Group, gen: TensorGenerator) -> ChainVector:
     return _vector(m.shape, m.lift(gen.index), True)
 
 
+class _Terms(NamedTuple):
+    """Chains of one degree on index arrays, one chain per row: term k is
+    v[k] times the element h[k] on generator t[k] of chain rows[k].  bound caps
+    the absolute sum of the v of one row, so every sum over a row fits
+    _int_dtype(bound)."""
+
+    rows: np.ndarray
+    t: np.ndarray
+    h: np.ndarray
+    v: np.ndarray
+    bound: int
+
+
+def _offsets(rows, count):
+    """Where each of count rows starts in terms sorted by row, and where the last ends."""
+    out = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=count), out=out[1:])
+    return out
+
+
+def _table(chains):
+    """Terms from rows of (t, h, v) triples, and the offsets of the rows."""
+    flat = list(itertools.chain.from_iterable(chains))
+    t, h, v = zip(*flat) if flat else ((), (), ())
+    bound = max((sum(abs(c) for _, _, c in chain) for chain in chains), default=0)
+    rows = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
+    return _Terms(rows, np.array(t, dtype=np.int64), np.array(h, dtype=np.int64),
+                  np.array(v, dtype=_int_dtype(bound)), bound), _offsets(rows, len(chains))
+
+
+def _triples(chain: dict, index):
+    """The (generator index, element, coefficient) triples of a chain on indices."""
+    return [(index(gen), g, c) for gen, coeff in chain.items() for g, c in coeff.items()]
+
+
+def _compose(mul, terms, keys, table, offsets):
+    """Each term (r, key, g, c) of terms, its key given apart, against row key
+    of table: the terms (r, t, g h, c v) for each (t, h, v) there, or
+    (r, t, h, c v) when mul is None."""
+    start = offsets[keys]
+    length = offsets[keys + 1] - start
+    owner = np.repeat(np.arange(len(keys)), length)
+    pos = np.arange(len(owner)) + np.repeat(start - np.cumsum(length) + length, length)
+    bound = terms.bound * table.bound
+    dtype = _int_dtype(bound)
+    h = table.h[pos]
+    return _Terms(terms.rows[owner], table.t[pos], h if mul is None else mul[terms.h[owner], h],
+                  terms.v[owner].astype(dtype) * table.v[pos].astype(dtype), bound)
+
+
+def _collect(terms, count, width, N):
+    """terms sorted by (row, t, h), equal keys summed and zero sums dropped;
+    rows run below count, t below width and h below N.  The sums go through
+    one dense array when it has at most 16 cells per term, else one sort."""
+    key = (terms.rows * width + terms.t) * N + terms.h
+    v = terms.v
+    if count * width * N <= 16 * len(key):
+        acc = np.zeros(count * width * N, dtype=v.dtype)
+        np.add.at(acc, key, v)
+        key = np.flatnonzero(acc)
+        v = acc[key]
+    elif len(key):
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        v = np.add.reduceat(v[order], first)
+        keep = v != 0
+        key, v = key[first[keep]], v[keep]
+    rows, rest = np.divmod(key, width * N)
+    t, h = np.divmod(rest, N)
+    return _Terms(rows, t, h, v, terms.bound)
+
+
+def _difference(a, b):
+    """The terms of a followed by those of b negated."""
+    bound = a.bound + b.bound
+    dtype = _int_dtype(bound)
+    return _Terms(*(np.concatenate(pair) for pair in zip(a[:3], b[:3])),
+                  np.concatenate((a.v.astype(dtype), -b.v.astype(dtype))), bound)
+
+
+def _bar_faces(mul, K, n, gens) -> _Terms:
+    """d_B of the degree-n bar symbols whose indices (C order over the
+    non-identity elements, K of them) are gens, read off the multiplication
+    table: one term per face, its row the position in gens, t the index of
+    the face's symbol, h its translate.  Faces through the identity are the
+    normalized zero and are dropped."""
+    x = [gens // K ** (n - 1 - i) % K + 1 for i in range(n)]
+    zero = np.zeros_like(gens)
+
+    def index(elems):
+        out = zero
+        for e in elems:
+            out = out * K + e - 1
+        return out
+    faces, translates = [index(x[1:])], [x[0]]
+    for i in range(1, n):
+        merged = mul[x[i - 1], x[i]]
+        faces.append(np.where(merged > 0, index(x[:i - 1] + [merged] + x[i + 1:]), -1))
+        translates.append(zero)
+    faces.append(index(x[:-1]))
+    translates.append(zero)
+    t = np.stack(faces, axis=1).ravel()
+    keep = t >= 0
+    return _Terms(np.repeat(np.arange(len(gens)), n + 1)[keep], t[keep],
+                  np.stack(translates, axis=1).ravel()[keep],
+                  np.tile([(-1) ** i for i in range(n + 1)], len(gens))[keep], n + 1)
+
+
+class _BarSide:
+    """The normalized bar complex of one shape as the square check reads it,
+    degree-n generators indexed in C order of their symbols.  Tables hold for
+    one check: the homotopy rows are built as the check meets them."""
+
+    def __init__(self, shape):
+        self.shape, self.K = shape, shape.group.order - 1
+        self.units = {}
+
+    def count(self, n):
+        return self.K ** n
+
+    def faces(self, n, gens):
+        return _bar_faces(self.shape.group.mul_table(), self.K, n, gens)
+
+    def face_table(self, n, t):
+        """The faces of the generators t, as a table and the key of each t."""
+        gens, keys = np.unique(t, return_inverse=True)
+        faces = self.faces(n, gens)
+        return faces, _offsets(faces.rows, len(gens)), keys
+
+    def contract_table(self, n, cols):
+        """s on the unit inputs g x, col = index(x) * |G| + g, x of degree
+        n - 1: a table and the key of each col."""
+        N = self.shape.group.order
+        cols, keys = np.unique(cols, return_inverse=True)
+        for col in cols.tolist():
+            if (n, col) not in self.units:
+                x, g = divmod(col, N)
+                chain = _contract(self.shape, {self.symbol(n - 1, x): {g: 1}})
+                self.units[n, col] = _triples(chain, self.index)
+        return *_table([self.units[n, col] for col in cols.tolist()]), keys
+
+    def symbol(self, n, i):
+        return tuple(i // self.K ** (n - 1 - l) % self.K + 1 for l in range(n))
+
+    def index(self, symbol):
+        return functools.reduce(lambda acc, e: acc * self.K + e - 1, symbol, 0)
+
+    def generator(self, n, i):
+        return _generator(self.shape, self.symbol(n, i), True)
+
+
+class _TensorSide:
+    """The tensor complex of one shape as the square check reads it, degree-n
+    generators indexed in lexicographic order of exponents.  Its tables are
+    small and built whole, once per check."""
+
+    def __init__(self, shape):
+        rank = shape.group.rank
+        self.shape = shape
+        self.gens = [[a for a in itertools.product(range(n + 1), repeat=rank) if sum(a) == n]
+                     for n in range(4)]
+        self.index = [{a: i for i, a in enumerate(gens)} for gens in self.gens]
+        self.tables = {}
+
+    def count(self, n):
+        return len(self.gens[n])
+
+    def _built(self, name, n, rows):
+        if (name, n) not in self.tables:
+            self.tables[name, n] = _table(list(rows))
+        return self.tables[name, n]
+
+    def face_table(self, n, t):
+        """d_T of every degree-n generator as a table, and the key of each t."""
+        return *self._built("d", n, (
+            _triples(_tensor_differential(self.shape, {a: {0: 1}}), self.index[n - 1].get)
+            for a in self.gens[n])), t
+
+    def faces(self, n, gens):
+        unit = _Terms(np.arange(len(gens)), gens, np.zeros_like(gens), np.ones_like(gens), 1)
+        table, offsets, keys = self.face_table(n, gens)
+        return _compose(None, unit, keys, table, offsets)
+
+    def contract_table(self, n, cols):
+        """s_T on every unit input g a, col = index(a) * |G| + g, a of degree
+        n - 1, as a table, and the key of each col."""
+        return *self._built("s", n, (
+            _triples(_contract_tensor(self.shape, {a: {g: 1}}), self.index[n].get)
+            for a in self.gens[n - 1] for g in range(self.shape.group.order))), cols
+
+    def generator(self, n, i):
+        return TensorGenerator(self.gens[n][i])
+
+
+# source generators per block: a degree-3 block of Z_8^2 gathers about 10^5 terms
+_BLOCK = 1 << 11
+
+
+def _square_failures(shape, source, target):
+    """The square check d f_n = f_(n-1) d of one comparison map, on index arrays.
+
+    f is the recursion of _Map: f_0 sends the one degree-0 generator to the
+    target's, and f_n(x) = s(below) with below = f_(n-1)(d x).  Each degree
+    runs on blocks of source generators: below is gathered through the
+    source faces and f_(n-1), s through its table on unit inputs (s is
+    Z-linear) and the target d through its faces, and the residual
+    d s(below) - below is summed.  The tables are built from the kernels as
+    they stand on every call.  Returns {1: None|gen, 2: None|gen, 3:
+    None|gen}, the value being the first source generator in index order
+    where the square fails, as _Map.first_failures gives it.
+    """
+    N, mul = shape.group.order, shape.group.mul_table()
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    image, offsets = _Terms(zero, zero, zero, one, 1), np.array([0, 1])
+    found = {}
+    for n in (1, 2, 3):
+        found[n], count, lifts = None, source.count(n), []
+        for lo in range(0, count, _BLOCK):
+            size = min(_BLOCK, count - lo)
+            d = source.faces(n, np.arange(lo, lo + size))
+            below = _collect(_compose(mul, d, d.t, image, offsets),
+                             size, target.count(n - 1), N)
+            table, table_offsets, keys = target.contract_table(n, below.t * N + below.h)
+            lift = _collect(_compose(None, below, keys, table, table_offsets),
+                            size, target.count(n), N)
+            table, table_offsets, keys = target.face_table(n, lift.t)
+            residual = _collect(_difference(_compose(mul, lift, keys, table, table_offsets),
+                                            below), size, target.count(n - 1), N)
+            if found[n] is None and len(residual.rows):
+                found[n] = source.generator(n, lo + int(residual.rows[0]))
+                if n == 3:
+                    break
+            if n < 3:
+                lifts.append(lift._replace(rows=lift.rows + lo))
+        if n < 3:
+            image = _Terms(*map(np.concatenate, zip(*(lift[:4] for lift in lifts))),
+                           max(lift.bound for lift in lifts))
+            offsets = _offsets(image.rows, count)
+    return found
+
+
 def verify_chain_map(group: Group, max_cells: int = 10 ** 6):
     """Check that phi commutes with the differentials, degree by degree.
 
@@ -487,8 +738,8 @@ def verify_chain_map(group: Group, max_cells: int = 10 ** 6):
     if N ** 4 > max_cells:
         raise ValueError(f"chain-map check would need {N ** 4} cells (|G|^4), "
                          f"above the {max_cells} bound")
-    return _Map(_shape(group.orders), False).first_failures(
-        lambda deg: itertools.product(range(1, N), repeat=deg))
+    shape = _shape(group.orders)
+    return _square_failures(shape, _BarSide(shape), _TensorSide(shape))
 
 
 def verify_tensor_to_bar(group: Group):
@@ -498,9 +749,8 @@ def verify_tensor_to_bar(group: Group):
     first tensor generator (lexicographic in its index) where the square
     fails.
     """
-    return _Map(_shape(group.orders), True).first_failures(
-        lambda deg: (index for index in itertools.product(range(deg + 1), repeat=group.rank)
-                     if sum(index) == deg))
+    shape = _shape(group.orders)
+    return _square_failures(shape, _TensorSide(shape), _BarSide(shape))
 
 
 @functools.lru_cache(maxsize=32)
@@ -521,10 +771,15 @@ def tensor_to_bar_cells(orders: tuple):
 def bar_boundary_cells(orders: tuple):
     """The augmented boundary of each non-identity [x|y|z], in C order of indices,
     as (cell, multiplicity) pairs like tensor_to_bar_cells: the cell of [p|q] is
-    (p - 1)(N - 1) + q - 1, its place among the non-identity pairs."""
-    shape = _shape(orders)
-    K = shape.group.order - 1
-    boundaries = (_bar_differential(shape, {h: {0: 1}})
-                  for h in itertools.product(range(1, K + 1), repeat=3))
-    return tuple(tuple(sorted(((p - 1) * K + q - 1, sum(coeff.values()))
-                              for (p, q), coeff in d.items())) for d in boundaries)
+    (p - 1)(N - 1) + q - 1, its place among the non-identity pairs.  A face
+    whose group ring coefficient is nonzero keeps its pair, even when the
+    augmentation is 0."""
+    group = _shape(orders).group
+    N = group.order
+    K = N - 1
+    terms = _collect(_bar_faces(group.mul_table(), K, 3, np.arange(K ** 3)), K ** 3, K * K, N)
+    key = terms.rows * K * K + terms.t
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    cells, counts = terms.t[first].tolist(), np.add.reduceat(terms.v, first).tolist()
+    ends = np.searchsorted(terms.rows[first], np.arange(K ** 3 + 1)).tolist()
+    return tuple(tuple(zip(cells[a:b], counts[a:b])) for a, b in zip(ends, ends[1:]))

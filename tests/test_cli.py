@@ -80,8 +80,8 @@ def test_verify_chain_map_size_guard(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"holds": True}
     # a larger --max-cells lets Z_8^2 through; the squares themselves are
     # stubbed so that the test stays fast
-    monkeypatch.setattr(complexes._Map, "first_failures",
-                        lambda self, generators: {1: None, 2: None, 3: None})
+    monkeypatch.setattr(complexes, "_square_failures",
+                        lambda shape, source, target: {1: None, 2: None, 3: None})
     code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "8,8",
                            "--max-cells", str(64 ** 4))
     assert code == 0 and json.loads(out) == {"holds": True}

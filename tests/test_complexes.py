@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grcat.cocycles import (CocycleParams, CocycleTable, build_table, enumerate_params,
@@ -208,7 +209,9 @@ def test_chain_map_check_size_guard():
     ((2, 2), 2, [(0, 1)] * 2),
     ((2, 2), 3, [(0, 1)] * 3),
     ((4, 4), 3, [(0, 1), (0, 1), (0, 3)]),
-], ids=["1", "2", "3", "Z4^2-3"])
+    ((4, 3), 2, [(0, 1), (0, 2)]),
+    ((4, 3), 3, [(0, 1), (0, 1), (0, 2)]),
+], ids=["1", "2", "3", "Z4^2-3", "Z4xZ3-2", "Z4xZ3-3"])
 def test_chain_map_check_reports_first_failure(monkeypatch, orders, k, first):
     # with s_T replaced by zero on degree k - 1, phi_k vanishes and the square
     # in degree k fails, first at the lexicographically least generator whose
@@ -226,6 +229,84 @@ def test_chain_map_check_reports_first_failure(monkeypatch, orders, k, first):
     failures = verify_chain_map(group)
     first = BarGenerator(tuple(group.element(e) for e in first))
     assert failures == {deg: first if deg == k else None for deg in (1, 2, 3)}
+
+
+def dict_check(group, to_bar):
+    """The square check as the dict recursion _Map.first_failures runs it."""
+    def generators(deg):
+        if to_bar:
+            return (index for index in itertools.product(range(deg + 1), repeat=group.rank)
+                    if sum(index) == deg)
+        return itertools.product(range(1, group.order), repeat=deg)
+    return complexes._Map(complexes._shape(group.orders), to_bar).first_failures(generators)
+
+
+def zero_on_degree(real, degree, size):
+    """real, except that it returns zero on chains of the given degree."""
+    def broken(shape, v):
+        if any(size(gen) == degree for gen in v):
+            return {}
+        return real(shape, v)
+    return broken
+
+
+AB_GROUPS = small_group_list(12) + [(16,), (4, 4), (2, 8), (4, 2, 2)]
+
+
+@pytest.mark.parametrize("orders", AB_GROUPS, ids=map(str, AB_GROUPS))
+def test_square_check_matches_dict_check(monkeypatch, orders):
+    # the array check against the per-generator dict check, both directions,
+    # as written and with each homotopy zeroed on one degree
+    group = Group(orders)
+    assert verify_chain_map(group) == dict_check(group, False), orders
+    assert verify_tensor_to_bar(group) == dict_check(group, True), orders
+    for k in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_contract_tensor",
+                          zero_on_degree(complexes._contract_tensor, k - 1, sum))
+            assert verify_chain_map(group) == dict_check(group, False), (orders, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_contract", zero_on_degree(complexes._contract, k - 1, len))
+            assert verify_tensor_to_bar(group) == dict_check(group, True), (orders, k)
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2)], ids=["Z2", "Z3", "Z2^2"])
+def test_square_check_exact_past_int64(monkeypatch, orders):
+    # homotopies scaled by 2^40 push the lifted coefficients past 2^63 by
+    # degree 3, so the sums run on Python ints; every square fails, and the
+    # array check names the same generators as the dict check
+    def scaled(real):
+        def homotopy(shape, v):
+            return {gen: {g: c << 40 for g, c in coeff.items()}
+                    for gen, coeff in real(shape, v).items()}
+        return homotopy
+    group = Group(orders)
+    monkeypatch.setattr(complexes, "_contract_tensor", scaled(complexes._contract_tensor))
+    monkeypatch.setattr(complexes, "_contract", scaled(complexes._contract))
+    for to_bar, check in ((False, verify_chain_map), (True, verify_tensor_to_bar)):
+        failures = check(group)
+        assert failures == dict_check(group, to_bar), (orders, to_bar)
+        assert None not in failures.values()
+
+
+def test_bar_faces_are_the_bar_differential():
+    # the face arrays, summed term by term, against the dict kernel on every
+    # generator of degrees 1..3 of every group up to order 16
+    for orders in small_group_list(16):
+        shape = complexes._shape(orders)
+        side = complexes._BarSide(shape)
+        for n in (1, 2, 3):
+            faces = side.faces(n, np.arange(side.count(n)))
+            got = [{} for _ in range(side.count(n))]
+            for row, t, h, v in zip(*(a.tolist() for a in faces[:4])):
+                coeff = got[row].setdefault(side.symbol(n - 1, t), {})
+                coeff[h] = coeff.get(h, 0) + v
+                if not coeff[h]:
+                    del coeff[h]
+            for i, chain in enumerate(got):
+                chain = {gen: coeff for gen, coeff in chain.items() if coeff}
+                assert chain == complexes._bar_differential(shape, {side.symbol(n, i): {0: 1}}), (
+                    orders, n, i)
 
 
 def chain_map_digest(group):
