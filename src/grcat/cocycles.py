@@ -55,27 +55,21 @@ class CocycleParams:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "triples", tuple(self.triples))
         n = self.group.rank
-        moduli = slot_moduli(self.group.orders)
-        # exact ints inside their moduli, in blocks of the right lengths, pass
-        # in one sweep; anything else gets its verdict from the loop below
-        if ((len(self.diag), len(self.pairs), len(self.triples)) == slot_counts(n)
-                and all(type(a) is int and 0 <= a < d for a, d in
-                        zip(self.diag + self.pairs + self.triples, moduli))):
-            return
-        # one iterator over the moduli, consumed block by block
-        moduli = iter(moduli)
-        for name, noun, values, slots in (
-                ("diagonal", "factor", self.diag, range(n)),
-                ("pair", "factors", self.pairs, pair_indices(n)),
-                ("triple", "factors", self.triples, triple_indices(n))):
-            if len(values) != len(slots):
-                raise ValueError(f"need {len(slots)} {name} exponents, got {len(values)}")
-            for slot, a, d in zip(slots, values, moduli):
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise ValueError(f"{name} exponent {a!r} for {noun} {slot} "
+        # one iterator over the moduli, consumed block by block; slots(n)
+        # names the slots and is built only for the message of a value that fails
+        moduli = iter(slot_moduli(self.group.orders))
+        for name, noun, values, count, slots in zip(
+                ("diagonal", "pair", "triple"), ("factor", "factors", "factors"),
+                (self.diag, self.pairs, self.triples), slot_counts(n),
+                (range, pair_indices, triple_indices)):
+            if len(values) != count:
+                raise ValueError(f"need {count} {name} exponents, got {len(values)}")
+            for k, (a, d) in enumerate(zip(values, moduli)):
+                if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)):
+                    raise ValueError(f"{name} exponent {a!r} for {noun} {slots(n)[k]} "
                                      "must be an integer")
                 if not 0 <= a < d:
-                    raise ValueError(f"{name} exponent {a} out of range for {noun} {slot}")
+                    raise ValueError(f"{name} exponent {a} out of range for {noun} {slots(n)[k]}")
 
     def pair_value(self, s, t):
         return self.pairs[pair_indices(self.group.rank).index((s, t))]

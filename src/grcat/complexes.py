@@ -529,62 +529,60 @@ def _compose(mul, terms, keys, table, offsets):
     pos = np.arange(len(owner)) + np.repeat(start - np.cumsum(length) + length, length)
     bound = terms.bound * table.bound
     dtype = _int_dtype(bound)
-    h = table.h[pos]
+    h, v = table.h[pos], table.v[pos].astype(dtype, copy=False)
     return _Terms(terms.rows[owner], table.t[pos], h if mul is None else mul[terms.h[owner], h],
-                  terms.v[owner].astype(dtype) * table.v[pos].astype(dtype), bound)
+                  terms.v[owner].astype(dtype, copy=False) * v, bound)
 
 
-def _collect(terms, count, width, N):
-    """terms sorted by (row, t, h), equal keys summed and zero sums dropped;
-    rows run below count, t below width and h below N.  The sums go through
-    one dense array when it has at most 16 cells per term, else one sort."""
+def _collect(terms, width, N):
+    """terms sorted by (row, t, h), equal keys summed by one sort and zero
+    sums dropped; t runs below width and h below N."""
     key = (terms.rows * width + terms.t) * N + terms.h
-    v = terms.v
-    if count * width * N <= 16 * len(key):
-        acc = np.zeros(count * width * N, dtype=v.dtype)
-        np.add.at(acc, key, v)
-        key = np.flatnonzero(acc)
-        v = acc[key]
-    elif len(key):
-        order = np.argsort(key)
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        v = np.add.reduceat(v[order], first)
-        keep = v != 0
-        key, v = key[first[keep]], v[keep]
-    rows, rest = np.divmod(key, width * N)
+    # the terms come in runs sorted by row, which the stable sort merges
+    # faster than quicksort orders them
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    v = np.add.reduceat(terms.v[order], first)
+    keep = v != 0
+    rows, rest = np.divmod(key[first[keep]], width * N)
     t, h = np.divmod(rest, N)
-    return _Terms(rows, t, h, v, terms.bound)
+    return _Terms(rows, t, h, v[keep], terms.bound)
 
 
 def _difference(a, b):
     """The terms of a followed by those of b negated."""
     bound = a.bound + b.bound
     dtype = _int_dtype(bound)
-    return _Terms(*(np.concatenate(pair) for pair in zip(a[:3], b[:3])),
-                  np.concatenate((a.v.astype(dtype), -b.v.astype(dtype))), bound)
+    v = (a.v.astype(dtype, copy=False), -b.v.astype(dtype, copy=False))
+    return _Terms(*(np.concatenate(pair) for pair in zip(a[:3], b[:3])), np.concatenate(v), bound)
+
+
+def _bar_symbol(K, n, index):
+    """The entries (1..K) of the degree-n bar symbol at index, C order over
+    the K non-identity elements; index may be an int or an array."""
+    return [index // K ** (n - 1 - i) % K + 1 for i in range(n)]
+
+
+def _bar_index(K, symbol):
+    """The index of a bar symbol, the inverse of _bar_symbol; the entries
+    may be ints or arrays."""
+    return functools.reduce(lambda acc, e: acc * K + e - 1, symbol, 0)
 
 
 def _bar_faces(mul, K, n, gens) -> _Terms:
-    """d_B of the degree-n bar symbols whose indices (C order over the
-    non-identity elements, K of them) are gens, read off the multiplication
-    table: one term per face, its row the position in gens, t the index of
-    the face's symbol, h its translate.  Faces through the identity are the
-    normalized zero and are dropped."""
-    x = [gens // K ** (n - 1 - i) % K + 1 for i in range(n)]
+    """d_B of the degree-n bar symbols whose indices are gens, read off the
+    multiplication table: one term per face, its row the position in gens, t
+    the index of the face's symbol, h its translate.  Faces through the
+    identity are the normalized zero and are dropped."""
+    x = _bar_symbol(K, n, gens)
     zero = np.zeros_like(gens)
-
-    def index(elems):
-        out = zero
-        for e in elems:
-            out = out * K + e - 1
-        return out
-    faces, translates = [index(x[1:])], [x[0]]
+    faces, translates = [zero + _bar_index(K, x[1:])], [x[0]]
     for i in range(1, n):
         merged = mul[x[i - 1], x[i]]
-        faces.append(np.where(merged > 0, index(x[:i - 1] + [merged] + x[i + 1:]), -1))
+        faces.append(np.where(merged > 0, _bar_index(K, x[:i - 1] + [merged] + x[i + 1:]), -1))
         translates.append(zero)
-    faces.append(index(x[:-1]))
+    faces.append(zero + _bar_index(K, x[:-1]))
     translates.append(zero)
     t = np.stack(faces, axis=1).ravel()
     keep = t >= 0
@@ -627,10 +625,10 @@ class _BarSide:
         return *_table([self.units[n, col] for col in cols.tolist()]), keys
 
     def symbol(self, n, i):
-        return tuple(i // self.K ** (n - 1 - l) % self.K + 1 for l in range(n))
+        return tuple(_bar_symbol(self.K, n, i))
 
     def index(self, symbol):
-        return functools.reduce(lambda acc, e: acc * self.K + e - 1, symbol, 0)
+        return _bar_index(self.K, symbol)
 
     def generator(self, n, i):
         return _generator(self.shape, self.symbol(n, i), True)
@@ -705,14 +703,13 @@ def _square_failures(shape, source, target):
         for lo in range(0, count, _BLOCK):
             size = min(_BLOCK, count - lo)
             d = source.faces(n, np.arange(lo, lo + size))
-            below = _collect(_compose(mul, d, d.t, image, offsets),
-                             size, target.count(n - 1), N)
+            below = _collect(_compose(mul, d, d.t, image, offsets), target.count(n - 1), N)
             table, table_offsets, keys = target.contract_table(n, below.t * N + below.h)
             lift = _collect(_compose(None, below, keys, table, table_offsets),
-                            size, target.count(n), N)
+                            target.count(n), N)
             table, table_offsets, keys = target.face_table(n, lift.t)
             residual = _collect(_difference(_compose(mul, lift, keys, table, table_offsets),
-                                            below), size, target.count(n - 1), N)
+                                            below), target.count(n - 1), N)
             if found[n] is None and len(residual.rows):
                 found[n] = source.generator(n, lo + int(residual.rows[0]))
                 if n == 3:
@@ -777,7 +774,7 @@ def bar_boundary_cells(orders: tuple):
     group = _shape(orders).group
     N = group.order
     K = N - 1
-    terms = _collect(_bar_faces(group.mul_table(), K, 3, np.arange(K ** 3)), K ** 3, K * K, N)
+    terms = _collect(_bar_faces(group.mul_table(), K, 3, np.arange(K ** 3)), K * K, N)
     key = terms.rows * K * K + terms.t
     first = np.flatnonzero(np.diff(key, prepend=-1))
     cells, counts = terms.t[first].tolist(), np.add.reduceat(terms.v, first).tolist()
