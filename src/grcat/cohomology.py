@@ -28,8 +28,8 @@ from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _power_produ
                        triple_indices, verify_normalized, verify_pentagon)
 from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
-from .intlinalg import (_int_dtype, _sparse_smith_normal_form, smith_normal_form,
-                        solve_exponents)
+from .intlinalg import (_int_dtype, _rank_solution, _sparse_smith_normal_form,
+                        _zero_rows_vanish, smith_normal_form, solve_exponents)
 from .roots import Root, _common_denominator
 
 
@@ -203,20 +203,26 @@ def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
 def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
     """A normalized 2-cochain b with coboundary t, or None.
 
-    t must be a normalized cocycle table; the witness is verified by
-    substitution before being returned.  Groups above max_group_order are
-    refused, the system grows as |G|^3 x |G|^2.
+    Groups above max_group_order are refused, the system grows as |G|^3 x
+    |G|^2.  The solve proves by substitution: b is read off the rank rows of
+    the bar system's Smith decomposition, and db == t is the proof that t is
+    a coboundary, so b is returned.  Only when the substitution fails are
+    the zero rows read: if they do not vanish the system has no solution
+    and the answer is None; if they do, the system is solvable but t differs
+    from db off the system's cells, so t is not a normalized cocycle and
+    ValueError is raised.
     """
     group = t.group
     if group.order > max_group_order:
         raise ValueError(
             f"group order {group.order} above the {max_group_order} bound")
     L, w = t.exponents()
-    sol = solve_exponents(_bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1))
-    if sol is None:
-        return None
-    den, nums = sol
+    snf = _bar_system(group.orders)
+    rhs = w[1:, 1:, 1:].reshape(-1)
+    den, nums = _rank_solution(snf, L, rhs)
     if _bar_coboundary(group, den, nums) != t:
+        if not _zero_rows_vanish(snf, L, rhs):
+            return None
         raise ValueError("table is not a normalized cocycle")
     elems = group.elements()
     e, rest = elems[0], elems[1:]

@@ -70,9 +70,14 @@ class Group:
         digits.setflags(write=False)
         return digits
 
+    @lru_cache(maxsize=64)
+    def _elements(self) -> tuple:
+        return tuple(GroupElement(self, exps) for exps in zip(*self.digits().T.tolist()))
+
     def elements(self):
-        """All group elements in index order, the rows of digits()."""
-        return [GroupElement(self, exps) for exps in zip(*self.digits().T.tolist())]
+        """All group elements in index order, the rows of digits(): a new list
+        on each call, of element objects built once per group."""
+        return list(self._elements())
 
     @lru_cache(maxsize=64)
     def mul_table(self) -> np.ndarray:
@@ -96,12 +101,20 @@ class Group:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """An element as its reduced exponent vector.  Its hash is the one the
+    generated dataclass hash gives, hash((group, exps)), stored at
+    construction: elements are dict keys throughout."""
+
     group: Group
     exps: tuple[int, ...]
 
     def __post_init__(self):
         reduced = tuple(e % m for e, m in zip(self.exps, self.group.orders))
         object.__setattr__(self, "exps", reduced)
+        object.__setattr__(self, "_hash", hash((self.group, reduced)))
+
+    def __hash__(self):
+        return self._hash
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):

@@ -19,6 +19,7 @@ from grcat.cohomology import (CoboundaryWitness2, TensorCochain3,
                               representative_cochain, tensor_coboundary,
                               trivial_witness)
 from grcat.groups import Group
+from grcat.intlinalg import solve_exponents
 from grcat.roots import Root
 
 GROUPS_UP_TO_8 = [(2,), (3,), (4,), (5,), (6,), (7,), (8,),
@@ -405,6 +406,71 @@ def test_bar_system_pinned(orders, digest):
     canonical = ([sorted(row.items()) for row in snf.u_rows],
                  [sorted(row.items()) for row in snf.v_rows], snf.diagonal)
     assert hashlib.sha256(repr(canonical).encode()).hexdigest() == digest
+
+
+def full_solve_bar_coboundary(t):
+    """Reference for is_bar_coboundary: one solve_exponents over all rows of
+    the bar system, zero rows first, then the substitution.  None when the
+    system is unsolvable, the ValueError when it is solvable but db != t,
+    else the witness's numerators over its denominator on the non-identity
+    pairs."""
+    group = t.group
+    L, w = t.exponents()
+    sol = solve_exponents(cohomology._bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1))
+    if sol is None:
+        return None
+    if cohomology._bar_coboundary(group, *sol) != t:
+        raise ValueError("table is not a normalized cocycle")
+    return sol
+
+
+def _outcome(decide, t):
+    try:
+        return decide(t)
+    except ValueError as error:
+        return repr(error)
+
+
+def _tamper_identity_cell(rng, t):
+    """t with one value at a triple with an identity argument multiplied by
+    a primitive square root of 1: a cell that the bar system does not read."""
+    N = t.group.order
+    cell = rng.choice([c for c in range(N ** 3) if 0 in (c // (N * N), c // N % N, c % N)])
+    values = list(t.values)
+    values[cell] = values[cell] * Root.of(1, 2)
+    return CocycleTable(t.group, values)
+
+
+@pytest.mark.parametrize("orders", EIGHT_GROUPS, ids=EIGHT_IDS)
+def test_bar_coboundary_outcomes_match_full_solve(orders):
+    # seeded coboundaries, ratios of distinct classes, and each with one
+    # identity-argument cell changed: the coboundaries then raise the
+    # ValueError (system solvable, substitution fails) and the ratios give
+    # None, as with the full solve
+    group = Group(orders)
+    rng = random.Random(f"full solve {orders}")
+    params = enumerate_params(group)
+    rest = group.elements()[1:]
+    for _ in range(2):
+        a, b = rng.sample(params, 2)
+        coboundary = random_bar_coboundary(rng, group)
+        ratio = build_table(a) * random_bar_coboundary(rng, group) / build_table(b)
+        cases = [(coboundary, "witness"), (ratio, None),
+                 (_tamper_identity_cell(rng, coboundary), "refused"),
+                 (_tamper_identity_cell(rng, ratio), None)]
+        for t, kind in cases:
+            expected = _outcome(full_solve_bar_coboundary, t)
+            got = _outcome(is_bar_coboundary, t)
+            if kind == "witness":
+                den, nums = expected
+                assert all(v.is_one() for (x, y), v in got.items()
+                           if x.is_identity() or y.is_identity())
+                assert [got[(x, y)] for x in rest for y in rest] == [
+                    Root(Fraction(k, den)) for k in nums]
+            elif kind == "refused":
+                assert got == expected == repr(ValueError("table is not a normalized cocycle"))
+            else:
+                assert got is expected is None
 
 
 def test_bar_coboundary_values_must_be_roots():

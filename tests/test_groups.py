@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -157,6 +159,29 @@ def test_indexing_round_trip():
         g.from_index(g.order)
     with pytest.raises(ValueError):
         g.from_index(-1)
+
+
+def test_element_hash_and_identity_contract():
+    # every way of building (1, 2) in Z_4 x Z_3 gives an element equal to it
+    # that hashes as the dataclass hash of (group, exps) would
+    g = Group((4, 3))
+    x = g.element((1, 2))
+    ways = [g.element((5, -1)), g.from_index(g.element_index(x)),
+            g.generator(0) * g.generator(1) ** 2, g.element((1, 1)) ** 5,
+            g.element((3, 1)).inverse(), g.elements()[g.element_index(x)],
+            Group((4, 3)).elements()[5], copy.copy(x), copy.deepcopy(x),
+            pickle.loads(pickle.dumps(x))]
+    for y in ways:
+        assert y == x and y.exps == (1, 2)
+        assert hash(y) == hash(x) == hash((g, (1, 2)))
+        assert {y: "y"}[x] == "y" and {x: "x"}[y] == "x"
+    assert len(set(ways)) == 1
+    # elements(): a new list on each call, of the same element objects
+    first, second = g.elements(), g.elements()
+    assert first is not second and first == second
+    assert all(p is q for p, q in zip(first, second))
+    first.pop()
+    assert len(g.elements()) == g.order
 
 
 def test_element_index_rejects_foreign_element():
