@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -135,6 +136,13 @@ def reduce_to_normal_form(f: TensorCochain3):
     reduced modulo gcd(m_i, m_j) by a further root of unity of order
     dividing m_j.
     """
+    params, witness = _normal_form(f)
+    return params, CoboundaryWitness2(f.group, tuple(Root(Fraction(*v)) for v in witness))
+
+
+def _normal_form(f: TensorCochain3):
+    """reduce_to_normal_form with the witness as (numerator, denominator)
+    pairs, one per factor pair: classify needs only the parameters."""
     violation = is_tensor_cocycle(f)
     if violation is not None:
         raise ValueError(f"not a cocycle: {violation}")
@@ -155,12 +163,12 @@ def reduce_to_normal_form(f: TensorCochain3):
         a_ij = c % d
         e = (pow(mi // d, -1, mj // d) * ((c - a_ij) // d)) % (mj // d)
         pairs.append(a_ij)
-        witness.append(Root(Fraction(u + e * L, L * mj)))
+        witness.append((u + e * L, L * mj))
 
     return (CocycleParams(group, tuple(v * m // L for v, m in zip(diag, orders)),
                           tuple(pairs),
                           tuple(v * d // L for v, d in zip(rst, moduli[n + len(pairs):]))),
-            CoboundaryWitness2(group, tuple(witness)))
+            witness)
 
 
 @lru_cache(maxsize=32)
@@ -189,29 +197,88 @@ def _bar_coboundary(group: Group, L: int, nums) -> CocycleTable:
     return CocycleTable._from_exponents(group, L, w % L)
 
 
-def bar_coboundary_table(group: Group, b: dict) -> CocycleTable:
+@lru_cache(maxsize=32)
+def _witness_keys(group: Group):
+    """The pairs of G x G in BarWitness order, and each pair's position:
+    the identity row, then the identity column, then the non-identity pairs
+    in C order of the element indices."""
+    elems = group.elements()
+    e, rest = elems[0], elems[1:]
+    keys = (*((e, y) for y in elems), *((x, e) for x in rest),
+            *itertools.product(rest, repeat=2))
+    return keys, {key: p for p, key in enumerate(keys)}
+
+
+class BarWitness(MutableMapping):
+    """A normalized 2-cochain b on G x G, as the mapping {(x, y): Root}
+    that is_bar_coboundary returns.
+
+    It holds integer numerators over one denominator, one per pair in key
+    order (the identity row, the identity column, then the non-identity
+    pairs in C order), and builds a value's Root when it is read.  It
+    compares equal to, and prints as, the dict of its items.  Writes keep
+    the numerators exact: a Root whose denominator does not divide den
+    rescales every numerator to the lcm.  Only Root values are taken
+    (ValueError), only the |G|^2 pairs of its group are keys (KeyError),
+    and no key can be deleted (TypeError).
+    """
+
+    __slots__ = ("group", "den", "nums")
+
+    def __init__(self, group: Group, den: int, nums: list):
+        self.group, self.den, self.nums = group, den, nums
+
+    def __getitem__(self, key) -> Root:
+        return Root(Fraction(self.nums[_witness_keys(self.group)[1][key]], self.den))
+
+    def __setitem__(self, key, value):
+        p = _witness_keys(self.group)[1][key]
+        if not isinstance(value, Root):
+            raise ValueError(f"witness value {value!r} must be a Root")
+        q = value.exponent.denominator
+        den = math.lcm(self.den, q)
+        if den != self.den:
+            scale = den // self.den
+            self.den, self.nums = den, [k * scale for k in self.nums]
+        self.nums[p] = value.exponent.numerator * (den // q)
+
+    def __delitem__(self, key):
+        raise TypeError("a bar witness is defined on every pair of G x G; "
+                        "its keys cannot be deleted")
+
+    def __iter__(self):
+        return iter(_witness_keys(self.group)[0])
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def copy(self) -> "BarWitness":
+        return BarWitness(self.group, self.den, list(self.nums))
+
+    __copy__ = copy
+
+
+def bar_coboundary_table(group: Group, b) -> CocycleTable:
     """Table of the coboundary of a normalized 2-cochain given on G x G.
 
     (db)(x, y, z) = b(y, z) b(xy, z)^-1 b(x, yz) b(x, y)^-1, with b read on
-    pairs of non-identity elements and 1 on the others.
+    pairs of non-identity elements and 1 on the others.  b is any mapping
+    from element pairs to Root; a BarWitness over the same group is read
+    off its numerators, without building a Root.
     """
+    if type(b) is BarWitness and b.group == group:
+        return _bar_coboundary(group, b.den, b.nums[2 * group.order - 1:])
     elems = group.elements()
     return _bar_coboundary(group, *_common_denominator(
         [b[(p, q)] for p in elems[1:] for q in elems[1:]], "witness value"))
 
 
-def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
-    """A normalized 2-cochain b with coboundary t, or None.
-
-    Groups above max_group_order are refused, the system grows as |G|^3 x
-    |G|^2.  The solve proves by substitution: b is read off the rank rows of
-    the bar system's Smith decomposition, and db == t is the proof that t is
-    a coboundary, so b is returned.  Only when the substitution fails are
-    the zero rows read: if they do not vanish the system has no solution
-    and the answer is None; if they do, the system is solvable but t differs
-    from db off the system's cells, so t is not a normalized cocycle and
-    ValueError is raised.
-    """
+def _bar_solve(t: CocycleTable, max_group_order: int):
+    """is_bar_coboundary on numerators: (den, nums) for b on the
+    non-identity pairs in C order, or None; the same ValueErrors."""
     group = t.group
     if group.order > max_group_order:
         raise ValueError(
@@ -224,13 +291,27 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
         if not _zero_rows_vanish(snf, L, rhs):
             return None
         raise ValueError("table is not a normalized cocycle")
-    elems = group.elements()
-    e, rest = elems[0], elems[1:]
-    roots = {k: Root(Fraction(k, den)) for k in {0, *nums}}
-    # the identity row, then the identity column: lexicographic pair order
-    witness = dict.fromkeys([*((e, y) for y in elems), *((x, e) for x in rest)], roots[0])
-    witness.update(zip(itertools.product(rest, repeat=2), map(roots.get, nums)))
-    return witness
+    return den, nums
+
+
+def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
+    """A normalized 2-cochain b with coboundary t, as a BarWitness, or None.
+
+    Groups above max_group_order are refused, the system grows as |G|^3 x
+    |G|^2.  The solve proves by substitution: b is read off the rank rows of
+    the bar system's Smith decomposition, and db == t is the proof that t is
+    a coboundary, so b is returned.  Only when the substitution fails are
+    the zero rows read: if they do not vanish the system has no solution
+    and the answer is None; if they do, the system is solvable but t differs
+    from db off the system's cells, so t is not a normalized cocycle and
+    ValueError is raised.  The witness keeps b's numerators: its Roots are
+    built when read, and bar_coboundary_table takes the numerators as they are.
+    """
+    sol = _bar_solve(t, max_group_order)
+    if sol is None:
+        return None
+    den, nums = sol
+    return BarWitness(t.group, den, [0] * (2 * t.group.order - 1) + nums)
 
 
 def pullback_to_tensor(t: CocycleTable) -> TensorCochain3:
@@ -252,10 +333,10 @@ def classify(t: CocycleTable) -> CocycleParams:
 
     t must be a normalized cocycle: normalization and then the pentagon over
     G^4 are checked, and a failure raises LookupError.  t is pulled back
-    through psi_3 to a tensor cocycle, and reduce_to_normal_form reads its
-    class off in closed form.  The answer is unique by construction: the
-    normal form is a function of the class, and distinct canonical classes
-    are never cohomologous (acceptance criterion 4).
+    through psi_3 to a tensor cocycle, and its normal form, without the
+    witness, reads the class off in closed form.  The answer is unique by
+    construction: the normal form is a function of the class, and distinct
+    canonical classes are never cohomologous (acceptance criterion 4).
     """
     witness = verify_normalized(t)
     if witness is not None:
@@ -265,5 +346,4 @@ def classify(t: CocycleTable) -> CocycleParams:
     if witness is not None:
         raise LookupError("input is not a cocycle: the pentagon fails at "
                           f"{tuple(e.exps for e in witness)}")
-    params, _ = reduce_to_normal_form(pullback_to_tensor(t))
-    return params
+    return _normal_form(pullback_to_tensor(t))[0]

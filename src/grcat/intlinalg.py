@@ -6,13 +6,12 @@ for dense lists of rows.  It holds each row of d, u and v as a dict
 {column: nonzero entry}: the largest system, the bar coboundary system of
 Z_4 x Z_3, is 1331 x 121 with at most four nonzeros per row, and its u
 stays 1.4% nonzero.  The decomposition keeps d as its diagonal; the dense
-u, d, v are views, and matmul is the dense product.  solve_exponents solves
-over Q/Z on integer numerators in two halves: one gather over the zero rows
-of u decides solvability, and one over its rank rows, then one over v,
-gives the solution, in int64 when the sums fit.  The halves are separate
-because 93-96% of the nonzeros of the bar systems' u on the groups of order
-12 lie in the zero rows, and a caller that can check a solution by
-substitution needs only the second half.
+u, d, v are views.  solve_exponents solves over Q/Z on integer numerators
+in two halves: one gather over the zero rows of u decides solvability, and
+one over its rank rows, then one over v, gives the solution, in int64 when
+the sums fit.  The halves are separate because 93-96% of the nonzeros of
+the bar systems' u on the groups of order 12 lie in the zero rows, and a
+caller that can check a solution by substitution needs only the second half.
 Root appears only in the wrapper solve_mod1.
 """
 
@@ -27,25 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from .roots import Root, _common_denominator
-
-
-def matmul(a, b):
-    """Exact product of two matrices (lists of rows) of ints or Fractions.
-
-    Row i of the product is the sum of the rows of b weighted by the nonzero
-    entries of row i of a, so the cost grows with the nonzeros of a.
-    """
-    cols_a = len(a[0]) if a else 0
-    assert cols_a == len(b)
-    cols_b = len(b[0]) if b else 0
-    out = []
-    for ai in a:
-        row = [0] * cols_b
-        for aik, bk in zip(ai, b):
-            if aik:
-                row = [r + aik * x for r, x in zip(row, bk)]
-        out.append(row)
-    return out
 
 
 def _addmul(dst, src, c):
@@ -254,12 +234,6 @@ def _sparse_smith_normal_form(rows, n: int):
     if _product(_product(u, sparse), v) != expected + [{}] * (m - len(diagonal)):
         raise AssertionError("smith normal form verification failed")
     return SmithDecomposition(u, v, diagonal)
-
-
-def left_kernel(mat):
-    """Basis (as rows) of {x : x * mat = 0}, read off the zero rows of the SNF."""
-    snf = smith_normal_form(mat)
-    return _dense([snf.u_rows[i] for i in snf.zero_rows], len(mat))
 
 
 def _zero_rows_vanish(snf, L, x) -> bool:

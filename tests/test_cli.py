@@ -87,6 +87,24 @@ def test_verify_chain_map_size_guard(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"holds": True}
 
 
+
+def test_verify_chain_map_failure_output(capsys, monkeypatch):
+    # the squares are stubbed to fail in degrees 2 and 3: the lowest degree
+    # is reported, with its bar generator, and the exit code is 1
+    group = Group((4, 3))
+    gen = complexes.BarGenerator((group.element((1, 0)), group.element((0, 2))))
+    deeper = complexes.BarGenerator((group.element((1, 1)),) * 3)
+    monkeypatch.setattr(complexes, "_square_failures",
+                        lambda shape, source, target: {1: None, 2: gen, 3: deeper})
+    code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "4,3",
+                           "--format", "plain")
+    assert code == 1 and out == "fails in degree 2 at (g(1, 0), g(0, 2))\n"
+    code, out, _ = run_cli(capsys, "verify", "chain-map", "--orders", "4,3",
+                           "--format", "json")
+    assert code == 1
+    assert out == '{"holds": false, "degree": 2, "generator": [[1, 0], [0, 2]]}\n'
+
+
 def test_cocycle_list_and_count(capsys):
     code, out, _ = run_cli(capsys, "cocycle", "list", "--orders", "2,2",
                            "--count")

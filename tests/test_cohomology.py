@@ -1,8 +1,11 @@
 """Cocycle and coboundary decisions on both complexes, and classification."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
+from collections.abc import MutableMapping
 from fractions import Fraction
 
 import pytest
@@ -359,6 +362,66 @@ def test_bar_coboundary_witness_is_pinned(orders, seed, digest):
 
 EIGHT_GROUPS = [(2,), (3,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (4, 3), (6, 2)]
 EIGHT_IDS = ["Z2", "Z3", "Z2^2", "Z4xZ2", "Z3^2", "Z2^3", "Z4xZ3", "Z6xZ2"]
+
+
+@pytest.mark.parametrize("orders, den", [(orders, 8) for orders in EIGHT_GROUPS]
+                         + [((2, 2), 2 ** 70), ((4, 3), 3 * 2 ** 70)],
+                         ids=EIGHT_IDS + ["Z2^2-2^70", "Z4xZ3-2^70"])
+def test_bar_witness_mapping_contract(orders, den):
+    # the witness holds numerators but reads, prints, compares and takes
+    # writes as the dict of Roots it replaced; bar_coboundary_table reads its
+    # numerators directly and must agree with the generic path over dict(w)
+    group = Group(orders)
+    table = random_bar_coboundary(random.Random(f"witness contract {orders}"), group, den)
+    w = is_bar_coboundary(table)
+    assert isinstance(w, MutableMapping) and type(w) is not dict
+    plain = dict(w)
+    assert w == plain and plain == w and len(w) == group.order ** 2
+    assert repr(w) == str(w) == repr(plain)
+    elems = group.elements()
+    e, rest = elems[0], elems[1:]
+    assert list(w) == ([(e, y) for y in elems] + [(x, e) for x in rest]
+                       + list(itertools.product(rest, repeat=2)))
+    assert bar_coboundary_table(group, w) == bar_coboundary_table(group, plain) == table
+    assert bar_coboundary_table(Group(orders), w) == table
+
+    # a value over a new denominator rescales the numerators; both paths see it
+    key = (rest[-1], rest[0])
+    for b in (w, plain):
+        b[key] = b[key] * Root.of(1, 5)
+    assert w == plain and w[key] == plain[key]
+    shifted = bar_coboundary_table(group, w)
+    assert shifted == bar_coboundary_table(group, dict(w))
+    # on Z_2 every normalized 2-cochain is a cocycle, so only there db stays
+    assert (shifted == table) == (group.order == 2)
+    # an identity pair keeps what is written, and the table does not read it
+    for b in (w, plain):
+        b[(e, e)] = Root.of(1, 3)
+    assert w == plain and bar_coboundary_table(group, w) == shifted
+
+    twin = copy.copy(w)
+    assert twin == w and pickle.loads(pickle.dumps(w)) == w
+    twin[key] = Root.one()
+    assert twin != w == plain
+
+    with pytest.raises(ValueError, match=r"^witness value 0\.5 must be a Root$"):
+        w[key] = 0.5
+    stranger = Group((7,)).generator(0)
+    with pytest.raises(KeyError):
+        w[(stranger, e)]
+    with pytest.raises(KeyError):
+        w[(stranger, e)] = Root.one()
+    assert (stranger, e) not in w and key in w
+    with pytest.raises(TypeError, match="cannot be deleted"):
+        del w[key]
+    assert w == plain
+
+    # over another group of the same order the generic path reads the keys
+    # of that group, which neither mapping has
+    other = Group((group.order,)) if group.rank > 1 else Group((2, group.order))
+    for b in (w, plain):
+        with pytest.raises(KeyError):
+            bar_coboundary_table(other, b)
 
 
 @pytest.mark.parametrize("orders, digest", zip(EIGHT_GROUPS, [

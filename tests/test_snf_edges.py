@@ -2,7 +2,9 @@
 
 import pytest
 
-from grcat.intlinalg import left_kernel, smith_normal_form, solve_mod1
+from dense_reference import left_kernel
+
+from grcat.intlinalg import smith_normal_form, solve_mod1
 from grcat.roots import Root
 
 # matrix -> (u, d, v, diagonal, zero_rows, left kernel)
