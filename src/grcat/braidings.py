@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from .cocycles import (CocycleParams, _first_witness, _power_product, build_tabl
                        pair_indices, triple_indices)
 from .groups import Group, GroupElement
 from .intlinalg import _int_dtype
-from .roots import Root, _common_denominator
+from .roots import Root, _common_denominator, _root
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ def eval_R(R: QuasiBicharacter, x: GroupElement, y: GroupElement) -> Root:
     if x.group != R.group or y.group != R.group:
         raise ValueError("element factorization does not match the braiding")
     L, r = _numerators(R)
-    return Root(Fraction(sum(r[s][t] * i_s * j_t for s, i_s in enumerate(x.exps)
-                             for t, j_t in enumerate(y.exps)), L))
+    return _root(sum(r[s][t] * i_s * j_t for s, i_s in enumerate(x.exps)
+                     for t, j_t in enumerate(y.exps)), L)
 
 
 def braiding_exists(a: CocycleParams):
@@ -118,9 +117,9 @@ def enumerate_braidings(a: CocycleParams):
     # each other in slot order; each row tuple is built once and shared
     rows = []
     for i, m in enumerate(orders):
-        off = [[Root.of(u, d) for u in range(d)]
+        off = [[_root(u, d) for u in range(d)]
                for d in (math.gcd(m, orders[j]) for j in range(n) if j != i)]
-        diag = [Root(Fraction(a.diag[i] + m * t, m * m)) for t in range(m)]
+        diag = [_root(a.diag[i] + m * t, m * m) for t in range(m)]
         rows.append([[(*rest[:i], v, *rest[i:]) for rest in itertools.product(*off)]
                      for v in diag])
     return [QuasiBicharacter._from_rows(group, r)
@@ -267,10 +266,9 @@ def brute_force_braidings(a: CocycleParams, max_candidates: int = 10 ** 6):
     if total > max_candidates:
         raise ValueError(
             f"candidate grid has {total} points, above the {max_candidates} bound")
-    root = lru_cache(maxsize=None)(Root.of)
     out = []
     for row in _grid_solutions(a, _product_basis(orders), sizes, lo=1):
-        roots = [root(u, size) for u, size in zip(row, sizes)]
+        roots = [_root(u, size) for u, size in zip(row, sizes)]
         out.append(QuasiBicharacter(group, [roots[i * n:(i + 1) * n] for i in range(n)]))
     return out
 
@@ -280,9 +278,8 @@ def braiding_function_table(R: QuasiBicharacter) -> dict:
     group = R.group
     L, r = _numerators(R)
     table = _product_form(group, r, L).reshape(group.order, group.order)
-    roots = {k: Root(Fraction(k, L)) for k in np.unique(table).tolist()}
     elems = group.elements()
-    return {(x, y): roots[k] for x, row in zip(elems, table.tolist())
+    return {(x, y): _root(k, L) for x, row in zip(elems, table.tolist())
             for y, k in zip(elems, row)}
 
 
@@ -310,11 +307,10 @@ def brute_force_full_function_space(a: CocycleParams, values_order: int,
     # mu_1 has a single value, so no cell is left to choose
     columns = free if values_order > 1 else []
     basis = (np.arange(N * N) == np.array(columns, dtype=np.int64)[:, None]).astype(np.int64)
-    root = lru_cache(maxsize=None)(Root.of)
     out = []
     for row in _grid_solutions(a, basis, [values_order] * len(columns),
                                1 if prune_identity else 0):
         values = dict(zip(columns, row))
-        out.append({(elems[p], elems[q]): root(values.get(p * N + q, 0), values_order)
+        out.append({(elems[p], elems[q]): _root(values.get(p * N + q, 0), values_order)
                     for p in range(N) for q in range(N)})
     return out

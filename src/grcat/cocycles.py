@@ -7,13 +7,13 @@ pullback of a tensor 3-cochain (representative_cochain) through phi_3,
 whose multiplicities have a closed form in the digits and carries of the
 three arguments; one kernel (_phi3) evaluates it on one triple or,
 broadcast, on the whole cube.  Cochains and tables hold exponents: integer
-numerators over one common denominator (TensorCochain3.exponents,
-CocycleTable.exponents), with roots of unity built only at the API and
-JSON boundary.  The verifiers below read those
-exponents with the group's multiplication table, and confirm (or refute,
-with the lexicographically first witness) the pentagon identity,
-normalization, and symmetry in the last two arguments over the whole cube
-of triples.
+numerators over one common denominator (CocycleTable.exponents, and the
+_Exponents store of TensorCochain3 and cohomology.CoboundaryWitness2), with
+roots of unity built through roots._root only at the API and JSON boundary.
+The verifiers below read those exponents with the group's multiplication
+table, and confirm (or refute, with the lexicographically first witness)
+the pentagon identity, normalization, and symmetry in the last two
+arguments over the whole cube of triples.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .groups import Group, GroupElement
 from .intlinalg import _int_dtype
-from .roots import Root, _common_denominator, parse_exponent
+from .roots import Root, _common_denominator, _root, parse_exponent
 
 
 def pair_indices(n):
@@ -128,37 +128,17 @@ def degree3_indices(n):
 
 
 @dataclass(frozen=True, init=False)
-class TensorCochain3:
-    """Root-of-unity values on the degree-3 generators of the small complex.
-
-    The state is (L, nums) as exponents() returns it: the values' exponents
-    as integer numerators over their least common denominator L, in
-    degree3_indices order, which is the order _phi3 reads.  diag[l] is the
-    value on the index with 3 in slot l; iij and ijj are aligned with the
-    lexicographic pair list (i < j), carrying the values on (2 in i, 1 in
-    j) resp. (1 in i, 2 in j); rst is aligned with the lexicographic triple
-    list.  These four are tuples of Root, built on each access.
-    """
+class _Exponents:
+    """Roots of unity as integer numerators over one denominator, in the
+    canonical form of _assign, so that equality and hash follow the values."""
 
     group: Group
     _L: int
     _nums: tuple
 
-    def __init__(self, group: Group, diag, iij, ijj, rst):
-        blocks = (tuple(diag), tuple(iij), tuple(ijj), tuple(rst))
-        n = group.rank
-        p = len(pair_indices(n))
-        if tuple(map(len, blocks)) != (n, p, p, len(triple_indices(n))):
-            raise ValueError("value tuples do not match the index sets of the group")
-        for name, block in zip(("diag", "iij", "ijj", "rst"), blocks):
-            for v in block:
-                if not isinstance(v, Root):
-                    raise ValueError(f"{name} value {v!r} must be a Root")
-        self._assign(group, *_common_denominator([v for block in blocks for v in block]))
-
     @classmethod
     def _from_exponents(cls, group: Group, L: int, nums):
-        """The cochain of the numerators nums over L."""
+        """The object of the numerators nums over L."""
         f = cls.__new__(cls)
         f._assign(group, L, nums)
         return f
@@ -175,6 +155,32 @@ class TensorCochain3:
         """(L, nums): the values as integer numerators mod their common denominator L."""
         return self._L, self._nums
 
+
+@dataclass(frozen=True, init=False)
+class TensorCochain3(_Exponents):
+    """Root-of-unity values on the degree-3 generators of the small complex.
+
+    The state is (L, nums) as exponents() returns it: the values' exponents
+    as integer numerators over their least common denominator L, in
+    degree3_indices order, which is the order _phi3 reads.  diag[l] is the
+    value on the index with 3 in slot l; iij and ijj are aligned with the
+    lexicographic pair list (i < j), carrying the values on (2 in i, 1 in
+    j) resp. (1 in i, 2 in j); rst is aligned with the lexicographic triple
+    list.  These four are tuples of Root, built on each access.
+    """
+
+    def __init__(self, group: Group, diag, iij, ijj, rst):
+        blocks = (tuple(diag), tuple(iij), tuple(ijj), tuple(rst))
+        n = group.rank
+        p = len(pair_indices(n))
+        if tuple(map(len, blocks)) != (n, p, p, len(triple_indices(n))):
+            raise ValueError("value tuples do not match the index sets of the group")
+        for name, block in zip(("diag", "iij", "ijj", "rst"), blocks):
+            for v in block:
+                if not isinstance(v, Root):
+                    raise ValueError(f"{name} value {v!r} must be a Root")
+        self._assign(group, *_common_denominator([v for block in blocks for v in block]))
+
     def _blocks(self):
         """The numerators split into the diag, iij, ijj and rst blocks."""
         n = self.group.rank
@@ -183,23 +189,12 @@ class TensorCochain3:
         return [self._nums[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def _roots(self, block):
-        return tuple(Root(Fraction(k, self._L)) for k in self._blocks()[block])
+        return tuple(_root(k, self._L) for k in self._blocks()[block])
 
-    @property
-    def diag(self):
-        return self._roots(0)
-
-    @property
-    def iij(self):
-        return self._roots(1)
-
-    @property
-    def ijj(self):
-        return self._roots(2)
-
-    @property
-    def rst(self):
-        return self._roots(3)
+    diag = property(lambda self: self._roots(0))
+    iij = property(lambda self: self._roots(1))
+    ijj = property(lambda self: self._roots(2))
+    rst = property(lambda self: self._roots(3))
 
     def value(self, index) -> Root:
         """Value on one degree-3 multi-index of the small complex."""
@@ -207,9 +202,11 @@ class TensorCochain3:
         n = self.group.rank
         if len(index) != n or sum(index) != 3 or any(a < 0 for a in index):
             raise ValueError(f"not a degree-3 multi-index: {index}")
-        return Root(Fraction(self._nums[degree3_indices(n).index(index)], self._L))
+        return _root(self._nums[degree3_indices(n).index(index)], self._L)
 
     def _combine(self, other, sign):
+        if type(other) is not TensorCochain3:
+            return NotImplemented
         if self.group != other.group:
             raise ValueError("cochains live over different groups")
         L = math.lcm(self._L, other._L)
@@ -278,7 +275,7 @@ def eval_cocycle(params: CocycleParams, x: GroupElement, y: GroupElement,
                  z: GroupElement) -> Root:
     """Value of the canonical cocycle at one triple, as an exact root of unity."""
     L, nums = representative_cochain(params).exponents()
-    return Root(Fraction(_phi3(params.group.orders, nums, x.exps, y.exps, z.exps), L))
+    return _root(_phi3(params.group.orders, nums, x.exps, y.exps, z.exps), L)
 
 
 class CocycleTable:
@@ -334,16 +331,18 @@ class CocycleTable:
         """The values as a tuple of Root in the flat cell layout."""
         if self._values is None:
             distinct, where = np.unique(self._w, return_inverse=True)
-            roots = [Root(Fraction(k, self._L)) for k in distinct.tolist()]
+            roots = [_root(k, self._L) for k in distinct.tolist()]
             self._values = tuple(map(roots.__getitem__, where.reshape(-1).tolist()))
         return self._values
 
     def value(self, x, y, z) -> Root:
         g = self.group
         cell = self._w[g.element_index(x), g.element_index(y), g.element_index(z)]
-        return Root(Fraction(int(cell), self._L))
+        return _root(int(cell), self._L)
 
     def _combine(self, other, sign):
+        if type(other) is not CocycleTable:
+            return NotImplemented
         if self.group != other.group:
             raise ValueError("tables live over different groups")
         L = math.lcm(self._L, other._L)

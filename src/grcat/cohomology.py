@@ -18,43 +18,51 @@ import itertools
 import math
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 # representative_cochain is not used here; callers import it from this module too
-from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _power_product,
+from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _Exponents, _power_product,
                        degree3_indices, pair_indices, representative_cochain, slot_moduli,
                        triple_indices, verify_normalized, verify_pentagon)
 from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
 from .intlinalg import (_int_dtype, _rank_solution, _sparse_smith_normal_form,
                         _zero_rows_vanish, smith_normal_form, solve_exponents)
-from .roots import Root, _common_denominator
+from .roots import Root, _common_denominator, _root
 
 
 def all_ones_cochain(group: Group) -> TensorCochain3:
     return TensorCochain3._from_exponents(group, 1, [0] * len(degree3_indices(group.rank)))
 
 
-@dataclass(frozen=True)
-class CoboundaryWitness2:
-    """One root of unity per factor pair i < j, defining a degree-2 coboundary."""
+@dataclass(frozen=True, init=False, repr=False)
+class CoboundaryWitness2(_Exponents):
+    """One root of unity per factor pair i < j, defining a degree-2 coboundary.
 
-    group: Group
-    pairs: tuple
+    Held as TensorCochain3 holds its values, in pair_indices order; pairs,
+    a tuple of Root, is built on each access.  It never equals a cochain.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if len(self.pairs) != len(pair_indices(self.group.rank)):
+    def __init__(self, group: Group, pairs):
+        pairs = tuple(pairs)
+        if len(pairs) != len(pair_indices(group.rank)):
             raise ValueError("need one witness value per factor pair")
-        for (i, j), v in zip(pair_indices(self.group.rank), self.pairs):
+        for (i, j), v in zip(pair_indices(group.rank), pairs):
             if not isinstance(v, Root):
                 raise ValueError(f"witness value {v!r} for factors ({i}, {j}) must be a Root")
+        self._assign(group, *_common_denominator(pairs))
+
+    @property
+    def pairs(self):
+        return tuple(_root(k, self._L) for k in self._nums)
 
     def value(self, i, j) -> Root:
-        return self.pairs[pair_indices(self.group.rank).index((i, j))]
+        return _root(self._nums[pair_indices(self.group.rank).index((i, j))], self._L)
+
+    def __repr__(self):
+        return f"CoboundaryWitness2(group={self.group!r}, pairs={self.pairs!r})"
 
 
 def trivial_witness(group: Group) -> CoboundaryWitness2:
@@ -67,7 +75,7 @@ def tensor_coboundary(witness: CoboundaryWitness2) -> TensorCochain3:
     n = group.rank
     orders = group.orders
     pairs = pair_indices(n)
-    L, ws = _common_denominator(witness.pairs)
+    L, ws = witness.exponents()
     return TensorCochain3._from_exponents(
         group, L, [0] * n + [w * orders[i] for w, (i, _) in zip(ws, pairs)]
         + [-w * orders[j] for w, (_, j) in zip(ws, pairs)] + [0] * len(triple_indices(n)))
@@ -104,7 +112,7 @@ def is_tensor_coboundary(f: TensorCochain3):
 
     Requires trivial diagonal and triple components; per pair the two power
     equations g^(m_i) = f_iij, g^(-m_j) = f_ijj are solved simultaneously
-    over Q/Z, on f's numerators.
+    over Q/Z, on f's numerators; the witness is held over M = L * lcm(orders).
     """
     group = f.group
     orders = group.orders
@@ -112,14 +120,15 @@ def is_tensor_coboundary(f: TensorCochain3):
     diag, iij, ijj, rst = f._blocks()
     if any(diag) or any(rst):
         return None
+    M = L * math.lcm(*orders)
     witness = []
     for (i, j), a, b in zip(pair_indices(group.rank), iij, ijj):
         sol = solve_exponents(smith_normal_form([[orders[i]], [-orders[j]]]), L, [a, b])
         if sol is None:
             return None
         den, (k,) = sol
-        witness.append(Root(Fraction(k, den)))
-    return CoboundaryWitness2(group, tuple(witness))
+        witness.append(k * (M // den))
+    return CoboundaryWitness2._from_exponents(group, M, witness)
 
 
 def h3_order(group: Group) -> int:
@@ -134,15 +143,8 @@ def reduce_to_normal_form(f: TensorCochain3):
     m_j-th root g0 = exp(2 pi i u/(L m_j)) of the inverse ijj component
     exp(2 pi i u/L) (clearing ijj), the remaining iij exponent is then
     reduced modulo gcd(m_i, m_j) by a further root of unity of order
-    dividing m_j.
+    dividing m_j.  W is held over M = L * lcm(orders), a multiple of L * m_j.
     """
-    params, witness = _normal_form(f)
-    return params, CoboundaryWitness2(f.group, tuple(Root(Fraction(*v)) for v in witness))
-
-
-def _normal_form(f: TensorCochain3):
-    """reduce_to_normal_form with the witness as (numerator, denominator)
-    pairs, one per factor pair: classify needs only the parameters."""
     violation = is_tensor_cocycle(f)
     if violation is not None:
         raise ValueError(f"not a cocycle: {violation}")
@@ -152,6 +154,7 @@ def _normal_form(f: TensorCochain3):
     moduli = slot_moduli(orders)
     L, _ = f.exponents()
     diag, iij, ijj, rst = f._blocks()
+    M = L * math.lcm(*orders)
 
     pairs = []
     witness = []
@@ -163,12 +166,12 @@ def _normal_form(f: TensorCochain3):
         a_ij = c % d
         e = (pow(mi // d, -1, mj // d) * ((c - a_ij) // d)) % (mj // d)
         pairs.append(a_ij)
-        witness.append((u + e * L, L * mj))
+        witness.append((u + e * L) * (M // (L * mj)))
 
     return (CocycleParams(group, tuple(v * m // L for v, m in zip(diag, orders)),
                           tuple(pairs),
                           tuple(v * d // L for v, d in zip(rst, moduli[n + len(pairs):]))),
-            witness)
+            CoboundaryWitness2._from_exponents(group, M, witness))
 
 
 @lru_cache(maxsize=32)
@@ -215,7 +218,7 @@ class BarWitness(MutableMapping):
 
     It holds integer numerators over one denominator, one per pair in key
     order (the identity row, the identity column, then the non-identity
-    pairs in C order), and builds a value's Root when it is read.  It
+    pairs in C order), and reads a value's Root through roots._root.  It
     compares equal to, and prints as, the dict of its items.  Writes keep
     the numerators exact: a Root whose denominator does not divide den
     rescales every numerator to the lcm.  Only Root values are taken
@@ -229,18 +232,14 @@ class BarWitness(MutableMapping):
         self.group, self.den, self.nums = group, den, nums
 
     def __getitem__(self, key) -> Root:
-        return Root(Fraction(self.nums[_witness_keys(self.group)[1][key]], self.den))
+        return _root(self.nums[_witness_keys(self.group)[1][key]], self.den)
 
     def __setitem__(self, key, value):
         p = _witness_keys(self.group)[1][key]
-        if not isinstance(value, Root):
-            raise ValueError(f"witness value {value!r} must be a Root")
-        q = value.exponent.denominator
-        den = math.lcm(self.den, q)
+        den, (num,) = _common_denominator([value], "witness value", self.den)
         if den != self.den:
-            scale = den // self.den
-            self.den, self.nums = den, [k * scale for k in self.nums]
-        self.nums[p] = value.exponent.numerator * (den // q)
+            self.den, self.nums = den, [k * (den // self.den) for k in self.nums]
+        self.nums[p] = num
 
     def __delitem__(self, key):
         raise TypeError("a bar witness is defined on every pair of G x G; "
@@ -333,8 +332,9 @@ def classify(t: CocycleTable) -> CocycleParams:
 
     t must be a normalized cocycle: normalization and then the pentagon over
     G^4 are checked, and a failure raises LookupError.  t is pulled back
-    through psi_3 to a tensor cocycle, and its normal form, without the
-    witness, reads the class off in closed form.  The answer is unique by
+    through psi_3 to a tensor cocycle, whose normal form
+    (reduce_to_normal_form, its witness dropped) reads the class off in
+    closed form.  The answer is unique by
     construction: the normal form is a function of the class, and distinct
     canonical classes are never cohomologous (acceptance criterion 4).
     """
@@ -346,4 +346,4 @@ def classify(t: CocycleTable) -> CocycleParams:
     if witness is not None:
         raise LookupError("input is not a cocycle: the pentagon fails at "
                           f"{tuple(e.exps for e in witness)}")
-    return _normal_form(pullback_to_tensor(t))[0]
+    return reduce_to_normal_form(pullback_to_tensor(t))[0]

@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .roots import Root, _common_denominator
+from .roots import _common_denominator, _root
 
 
 def _addmul(dst, src, c):
@@ -285,4 +284,4 @@ def solve_mod1(mat, v):
     if sol is None:
         return None
     L, nums = sol
-    return [Root(Fraction(k, L)) for k in nums]
+    return [_root(k, L) for k in nums]

@@ -7,6 +7,7 @@ structural.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -69,6 +70,11 @@ class Root:
 
     def __repr__(self):
         return f"Root({self})"
+
+
+# the one numerator -> Root view for the other modules: Root is immutable, so
+# instances are shared, and the bound keeps a long session's values from piling up
+_root = functools.lru_cache(maxsize=4096)(Root.of)
 
 
 def _common_denominator(roots, what="value", L=1):

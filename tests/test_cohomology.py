@@ -1,6 +1,7 @@
 """Cocycle and coboundary decisions on both complexes, and classification."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import pickle
@@ -424,6 +425,24 @@ def test_bar_witness_mapping_contract(orders, den):
             bar_coboundary_table(other, b)
 
 
+@pytest.mark.parametrize("orders, den", [(orders, 8) for orders in EIGHT_GROUPS]
+                         + [((2, 2), 2 ** 70), ((4, 3), 3 * 2 ** 70)],
+                         ids=EIGHT_IDS + ["Z2^2-2^70", "Z4xZ3-2^70"])
+def test_bar_witness_reads_survive_a_rescale(orders, den):
+    # a write over a new denominator rescales every numerator; each other
+    # read still gives the value it gave before the write
+    group = Group(orders)
+    table = random_bar_coboundary(random.Random(f"witness rescale {orders}"), group, den)
+    w = is_bar_coboundary(table)
+    before = dict(w)
+    key = (group.elements()[-1], group.elements()[1])
+    w[key] = Root.of(2, 35)
+    assert w.den % 35 == 0
+    for k, v in before.items():
+        assert w[k] == (Root.of(2, 35) if k == key else v)
+    assert dict(w) == {**before, key: Root.of(2, 35)}
+
+
 @pytest.mark.parametrize("orders, digest", zip(EIGHT_GROUPS, [
     "4319a2fb7977d757e3f143902141c0191eea33b44613fdbd9d47caee890aa2fb",
     "18bb4da0e6aeb0b68178f3ac9ccb58c8705b085e32c1ce996d8e534fa35c981a",
@@ -685,3 +704,47 @@ def test_reduce_exact_beyond_int64():
     got, witness = reduce_to_normal_form(f)
     assert got == a
     assert representative_cochain(got) * tensor_coboundary(witness) == f
+
+
+def test_coboundary_witness_repr_is_pinned():
+    w = CoboundaryWitness2(Group((4, 2)), (Root.of(1, 8),))
+    assert repr(w) == "CoboundaryWitness2(group=Group(orders=(4, 2)), pairs=(Root(1/8),))"
+    assert repr(CoboundaryWitness2(Group((4, 2)), (Root.of(9, 8),))) == repr(w)
+
+
+@pytest.mark.parametrize("orders, scale", [(orders, 1) for orders in EIGHT_GROUPS]
+                         + [((4, 3), 2 ** 70)], ids=EIGHT_IDS + ["Z4xZ3-2^70"])
+def test_coboundary_witness_value_contract(orders, scale):
+    # equality and hash follow the values: the witnesses the solvers build
+    # from numerators equal, and hash as, the ones built from their pairs
+    group = Group(orders)
+    rng = random.Random(f"witness values {orders}")
+    params = enumerate_params(group)
+    for _ in range(4):
+        f = tensor_coboundary(random_witness(rng, group, scale))
+        for w in (reduce_to_normal_form(representative_cochain(rng.choice(params)) * f)[1],
+                  is_tensor_coboundary(f)):
+            rebuilt = CoboundaryWitness2(group, w.pairs)
+            assert rebuilt == w and w == rebuilt and hash(rebuilt) == hash(w)
+            assert rebuilt.pairs == w.pairs and repr(rebuilt) == repr(w)
+            assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+            assert pickle.loads(pickle.dumps(w)).pairs == w.pairs
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.pairs = rebuilt.pairs
+            # the same store, but a witness is not a cochain
+            twin = TensorCochain3._from_exponents(group, *w.exponents())
+            assert twin.exponents() == w.exponents()
+            assert w != twin and twin != w
+
+
+def test_products_refuse_other_types():
+    group = Group((4, 2))
+    f = representative_cochain(CocycleParams(group, (1, 1), (1,), ()))
+    t = build_table(CocycleParams(group, (1, 1), (1,), ()))
+    w = CoboundaryWitness2(group, (Root.of(3, 8),))
+    for left, right in ((f, 2), (2, f), (f, w), (w, f), (t, f), (f, t), (t, 2), (t, w)):
+        with pytest.raises(TypeError):
+            left * right
+        with pytest.raises(TypeError):
+            left / right
+    assert f * f / f == f and t * t / t == t

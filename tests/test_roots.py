@@ -1,10 +1,13 @@
 import itertools
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import grcat
 from grcat.roots import Root, canonical_root
 
 
@@ -129,3 +132,15 @@ def test_canonical_root_random_round_trip():
 def test_str_round_trip():
     for text in ("0/1", "1/2", "3/4", "5/6", "7/12"):
         assert str(Root.parse(text)) == text
+
+
+def test_roots_from_numerators_have_one_view():
+    # outside roots.py a Root is built from a numerator and a denominator only
+    # through roots._root, so no module holds its own Root cache
+    modules = sorted(p for p in pathlib.Path(grcat.__file__).parent.glob("*.py")
+                     if p.name != "roots.py")
+    assert len(modules) > 5
+    for path in modules:
+        text = path.read_text()
+        assert "Root(Fraction(" not in text, path.name
+        assert not re.search(r"lru_cache\b.*\(Root\.of\)", text), path.name
