@@ -29,7 +29,7 @@ from .cocycles import (CocycleParams, CocycleTable, TensorCochain3, _Exponents, 
 from .complexes import bar_boundary_cells, tensor_to_bar_cells
 from .groups import Group
 from .intlinalg import (_int_dtype, _rank_solution, _sparse_smith_normal_form,
-                        _zero_rows_vanish, smith_normal_form, solve_exponents)
+                        smith_normal_form, solve_exponents)
 from .roots import Root, _common_denominator, _root
 
 
@@ -107,12 +107,19 @@ def is_tensor_cocycle(f: TensorCochain3):
     return None
 
 
+@lru_cache(maxsize=256)
+def _pair_system(mi: int, mj: int):
+    """Smith decomposition of the pair equations g^(m_i) = a, g^(-m_j) = b."""
+    return smith_normal_form([[mi], [-mj]])
+
+
 def is_tensor_coboundary(f: TensorCochain3):
     """A CoboundaryWitness2 with coboundary f, or None when there is none.
 
     Requires trivial diagonal and triple components; per pair the two power
     equations g^(m_i) = f_iij, g^(-m_j) = f_ijj are solved simultaneously
-    over Q/Z, on f's numerators; the witness is held over M = L * lcm(orders).
+    over Q/Z, on f's numerators, through one cached decomposition per pair
+    of orders; the witness is held over M = L * lcm(orders).
     """
     group = f.group
     orders = group.orders
@@ -123,7 +130,7 @@ def is_tensor_coboundary(f: TensorCochain3):
     M = L * math.lcm(*orders)
     witness = []
     for (i, j), a, b in zip(pair_indices(group.rank), iij, ijj):
-        sol = solve_exponents(smith_normal_form([[orders[i]], [-orders[j]]]), L, [a, b])
+        sol = solve_exponents(_pair_system(orders[i], orders[j]), L, [a, b])
         if sol is None:
             return None
         den, (k,) = sol
@@ -277,17 +284,22 @@ def bar_coboundary_table(group: Group, b) -> CocycleTable:
 
 def _bar_solve(t: CocycleTable, max_group_order: int):
     """is_bar_coboundary on numerators: (den, nums) for b on the
-    non-identity pairs in C order, or None; the same ValueErrors."""
+    non-identity pairs in C order, or None; the same ValueErrors.
+
+    b is the rank solution of the bar system, which solves the system
+    whenever it is solvable.  So when db differs from t, it agrees with t on
+    the system's cells (the non-identity triples) exactly when the system is
+    solvable, and the two outcomes are told apart there.
+    """
     group = t.group
     if group.order > max_group_order:
         raise ValueError(
             f"group order {group.order} above the {max_group_order} bound")
     L, w = t.exponents()
-    snf = _bar_system(group.orders)
-    rhs = w[1:, 1:, 1:].reshape(-1)
-    den, nums = _rank_solution(snf, L, rhs)
-    if _bar_coboundary(group, den, nums) != t:
-        if not _zero_rows_vanish(snf, L, rhs):
+    den, nums = _rank_solution(_bar_system(group.orders), L, w[1:, 1:, 1:].reshape(-1))
+    db = _bar_coboundary(group, den, nums)
+    if db != t:
+        if (db / t).exponents()[1][1:, 1:, 1:].any():
             return None
         raise ValueError("table is not a normalized cocycle")
     return den, nums
@@ -299,12 +311,14 @@ def is_bar_coboundary(t: CocycleTable, max_group_order: int = 12):
     Groups above max_group_order are refused, the system grows as |G|^3 x
     |G|^2.  The solve proves by substitution: b is read off the rank rows of
     the bar system's Smith decomposition, and db == t is the proof that t is
-    a coboundary, so b is returned.  Only when the substitution fails are
-    the zero rows read: if they do not vanish the system has no solution
-    and the answer is None; if they do, the system is solvable but t differs
-    from db off the system's cells, so t is not a normalized cocycle and
-    ValueError is raised.  The witness keeps b's numerators: its Roots are
-    built when read, and bar_coboundary_table takes the numerators as they are.
+    a coboundary, so b is returned.  That b solves the system whenever the
+    system is solvable (the decomposition checks the two facts this rests
+    on), so when the substitution fails the system's cells decide: if db
+    differs from t there, the system has no solution and the answer is
+    None; if not, t differs from db only off the system's cells, so t is not
+    a normalized cocycle and ValueError is raised.  The zero rows of u are
+    never read.  The witness keeps b's numerators: its Roots are built when
+    read, and bar_coboundary_table takes the numerators as they are.
     """
     sol = _bar_solve(t, max_group_order)
     if sol is None:

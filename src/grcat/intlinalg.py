@@ -1,30 +1,33 @@
 """Exact integer linear algebra: Smith normal form and linear systems over Q/Z.
 
-The elimination takes a matrix as sparse rows of (column, entry) pairs of
-Python ints, so every pivot is exact; smith_normal_form is its entry point
-for dense lists of rows.  It holds each row of d, u and v as a dict
-{column: nonzero entry}: the largest system, the bar coboundary system of
-Z_4 x Z_3, is 1331 x 121 with at most four nonzeros per row, and its u
-stays 1.4% nonzero.  The decomposition keeps d as its diagonal; the dense
-u, d, v are views.  solve_exponents solves over Q/Z on integer numerators
-in two halves: one gather over the zero rows of u decides solvability, and
-one over its rank rows, then one over v, gives the solution, in int64 when
-the sums fit.  The halves are separate because 93-96% of the nonzeros of
-the bar systems' u on the groups of order 12 lie in the zero rows, and a
-caller that can check a solution by substitution needs only the second half.
-Root appears only in the wrapper solve_mod1.
+The elimination, _sparse_smith_normal_form, takes a matrix as sparse rows
+of (column, entry) pairs; smith_normal_form is its entry point for dense
+lists of rows.  It works on a dense array d and a dense transform v, in
+int64 while each step's bound stays below 2**63 and on exact Python ints
+from the first step whose bound could reach it.  It does not form u: it
+logs each row step as (destination rows, source row, multipliers), and
+the decomposition keeps that log, v and the diagonal of d.  The rows of u
+are replayed from the log where they are read.  The rank rows, those of d
+with a nonzero diagonal entry, come from only the steps they depend on:
+they are what the eager self-check and the rank solve read.  The full u,
+with its zero rows, is replayed only for solve_exponents, whose
+solvability test gathers over the zero rows, and for the dense views.
+The solves gather over flat arrays, in int64 when the sums fit.  Root
+appears only in the wrapper solve_mod1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .roots import _common_denominator, _root
+
+# rows of the trailing block in the pivot search's first chunk: on the bar
+# system of Z_4 x Z_3 the pivot row lies a median of 19 rows below row k
+_LEAD = 64
 
 
 def _addmul(dst, src, c):
@@ -85,33 +88,94 @@ def _gather(flat, x, size):
     return out
 
 
-@dataclass
+def _absmax(a) -> int:
+    """The largest absolute entry of the array a as a Python int; 0 when empty."""
+    return int(np.abs(a).max(initial=0))
+
+
+def _widen(bound, *arrays):
+    """The arrays as they are while bound stays below 2**63, as exact Python
+    ints (object arrays) once it could reach it."""
+    if _int_dtype(bound) is np.int64:
+        return arrays
+    return tuple(a.astype(object, copy=False) for a in arrays)
+
+
+def _replay(log, positions):
+    """The rows of u at the given positions, as sparse dicts, replayed from
+    the elimination's log.
+
+    One backward pass over the row steps keeps those whose destinations the
+    wanted rows depend on, and only a kept step's source joins them; the
+    kept steps are then applied in order to rows that start as the
+    identity's.  Rows flipped by the sign fix are negated last: no later
+    step reads a row once its diagonal entry is final.
+    """
+    steps, order, flipped = log
+    needed = np.zeros(len(order), dtype=bool)
+    needed[[order[p] for p in positions]] = True
+    kept = []
+    for dsts, src, mults in reversed(steps):
+        sel = needed[dsts]
+        if sel.any():
+            kept.append((dsts[sel].tolist(), src, mults[sel].tolist()))
+            needed[src] = True
+    u = {}
+    for dsts, src, mults in reversed(kept):
+        s = u.setdefault(src, {src: 1})
+        for t, c in zip(dsts, mults):
+            _addmul(u.setdefault(t, {t: 1}), s, c)
+    rows = []
+    for p in positions:
+        row = u.get(order[p], {order[p]: 1})
+        rows.append({j: -e for j, e in row.items()} if p in flipped else row)
+    return rows
+
+
 class SmithDecomposition:
     """u * m * v = d with u, v unimodular and d diagonal, d_1 | d_2 | ...
 
-    u_rows and v_rows are the rows of u and v as sparse dicts {column:
-    nonzero entry}; diagonal holds the min(rows, cols) diagonal entries of
-    d.  The dense u, d and v (lists of rows) are built on first use, and so
-    are the rank rows and zero rows of d and the flat arrays that the solve
-    gathers through: u's rank rows, u's zero rows and v, three sets.
+    It holds m as sparse rows {column: nonzero entry}, v as an array,
+    diagonal (the min(rows, cols) diagonal entries of d) and the
+    elimination's log of row steps, from which u is replayed.  Construction
+    checks what the rank solve reads (_verify_rank) and raises
+    AssertionError when the check fails.  Everything else is built on
+    first use: the rank rows of u from the log steps they depend on; u_rows,
+    every row of u, from the whole log and checked as u*m*v = d; v_rows as
+    sparse dicts; the dense u, d and v (lists of rows); the rank rows and
+    zero rows of d; and the flat arrays that the solve gathers through (u's
+    rank rows, u's zero rows and v).
     """
 
-    u_rows: list
-    v_rows: list
-    diagonal: list
+    def __init__(self, mat, v, diagonal, log):
+        self._mat, self._v, self.diagonal, self._log = mat, v, diagonal, log
+        _verify_rank(self)
+
+    @cached_property
+    def u_rows(self):
+        u = _replay(self._log, range(len(self._mat)))
+        expected = [{i: e} if e else {} for i, e in enumerate(self.diagonal)]
+        if _product(_product(u, self._mat), self.v_rows) != (
+                expected + [{}] * (len(u) - len(expected))):
+            raise AssertionError("smith normal form verification failed")
+        return u
+
+    @cached_property
+    def v_rows(self):
+        return [{j: e for j, e in enumerate(row) if e} for row in self._v.tolist()]
 
     @cached_property
     def u(self):
-        return _dense(self.u_rows, len(self.u_rows))
+        return _dense(self.u_rows, len(self._mat))
 
     @cached_property
     def v(self):
-        return _dense(self.v_rows, len(self.v_rows))
+        return self._v.tolist()
 
     @cached_property
     def d(self):
-        return [[self.diagonal[i] if i == j else 0 for j in range(len(self.v_rows))]
-                for i in range(len(self.u_rows))]
+        return [[self.diagonal[i] if i == j else 0 for j in range(len(self._v))]
+                for i in range(len(self._mat))]
 
     @cached_property
     def rank_rows(self):
@@ -122,11 +186,15 @@ class SmithDecomposition:
     def zero_rows(self):
         """Indices of the zero rows of d: past the diagonal, or a zero entry on it."""
         diag = self.diagonal
-        return [i for i in range(len(self.u_rows)) if i >= len(diag) or not diag[i]]
+        return [i for i in range(len(self._mat)) if i >= len(diag) or not diag[i]]
+
+    @cached_property
+    def _rank_u(self):
+        return _replay(self._log, self.rank_rows)
 
     @cached_property
     def _rank_flat(self):
-        return _flatten([self.u_rows[i] for i in self.rank_rows])
+        return _flatten(self._rank_u)
 
     @cached_property
     def _zero_flat(self):
@@ -135,6 +203,31 @@ class SmithDecomposition:
     @cached_property
     def _v_flat(self):
         return _flatten(self.v_rows)
+
+
+def _verify_rank(snf):
+    """Check the two facts that make _rank_solution a solution of m*x = b
+    over Q/Z whenever one exists (notes/decisions.md): (a) u_rank*m*v =
+    d_rank on the rank rows, and (b) m*v is zero in every column off the
+    rank and divisible by d_i in rank column i.  (a) is formed as
+    (u_rank*m)*v, since u_rank*m = d_rank*v^-1 stays sparse; (b) reads only
+    the columns of v that it constrains: those off the rank and those of
+    non-unit d_i."""
+    mat, v, diag, rows = snf._mat, snf._v, snf.diagonal, snf.rank_rows
+    ok = _product(_product(snf._rank_u, mat), snf.v_rows) == [{i: diag[i]} for i in rows]
+    trailing = [j for j in range(len(v)) if j >= len(diag) or not diag[j]]
+    nonunit = [i for i in rows if diag[i] != 1]
+    nonempty, starts, cols, entries, bound = _flatten(mat)
+    if ok and trailing + nonunit and nonempty.size:
+        sub = v[:, trailing + nonunit]
+        dtype = _int_dtype(bound * max(_absmax(sub), 1))
+        # one term per nonzero of m, summed per row
+        mv = np.add.reduceat(entries.astype(dtype)[:, None] * sub.astype(dtype)[cols],
+                             starts, axis=0)
+        ok = not (mv[:, :len(trailing)].any() or (
+            mv[:, len(trailing):] % np.array([diag[i] for i in nonunit], dtype=object)).any())
+    if not ok:
+        raise AssertionError("smith normal form verification failed")
 
 
 def smith_normal_form(mat):
@@ -155,84 +248,112 @@ def smith_normal_form(mat):
     return _sparse_smith_normal_form(map(enumerate, mat), n)
 
 
+def _pivot(d, k):
+    """(i, j) of the smallest nonzero |entry| of d[k:, k:], the first in
+    row-major order among equals; None when the block is zero.
+
+    No entry is smaller than a unit, so the first row holding a unit ends
+    the search.  Units are looked for in chunks of rows that double from
+    _LEAD, so the rows scanned are at most about twice those above the
+    pivot row; only a block without a unit is searched whole for its
+    smallest entry.
+    """
+    lo, size = k, _LEAD
+    while lo < len(d):
+        hits = np.abs(d[lo:lo + size, k:]) == 1
+        if hits.any():
+            i, j = divmod(int(np.argmax(hits)), hits.shape[1])
+            return lo + i, k + j
+        lo, size = lo + size, 2 * size
+    block = np.abs(d[k:, k:])
+    nonzero = block[block != 0]
+    if not nonzero.size:
+        return None
+    i, j = divmod(int(np.argmax(block == nonzero.min())), block.shape[1])
+    return k + i, k + j
+
+
 def _sparse_smith_normal_form(rows, n: int):
     """Smith normal form of the matrix with n columns whose rows are given
     as (column, entry) pairs, zero entries allowed.
 
-    u*mat*v is re-multiplied on the sparse rows, as (u*mat)*v, and compared
-    against the diagonal before returning.  u*mat = d*v^-1 stays sparse where
-    mat*v fills in (976 against 37598 nonzeros on the bar system of Z_4 x
-    Z_3), so this order is the cheaper one.
+    d and v are arrays, int64 while each step's bound (the largest absolute
+    entry it reads plus its largest multiplier times the largest absolute
+    entry of its source) stays below 2**63, exact Python ints from the first
+    step whose bound could reach it.  u is not formed: each row step is
+    logged as (destination rows, source row, multipliers) on the rows'
+    original ids, together with the final row order and the rows whose sign
+    was fixed.  The decomposition checks itself on construction.
     """
-    sparse = [{j: e for j, e in row if e} for row in rows]
-    m = len(sparse)
-    d = [dict(row) for row in sparse]
-    u = [{i: 1} for i in range(m)]
-    v = [{j: 1} for j in range(n)]
-
-    def add_row(dst, src, c):
-        for t in (d, u):
-            _addmul(t[dst], t[src], c)
+    mat = [{j: e for j, e in row if e} for row in rows]
+    m = len(mat)
+    d = np.zeros((m, n), dtype=_int_dtype(
+        max((abs(e) for row in mat for e in row.values()), default=0)))
+    d[np.repeat(np.arange(m), [len(row) for row in mat]),
+      np.array([j for row in mat for j in row], dtype=np.intp)] = [
+        e for row in mat for e in row.values()]
+    v = np.eye(n, dtype=d.dtype)
+    order = np.arange(m)
+    steps, flipped = [], set()
 
     # rows k.. of d have no entries left of column k: they are the trailing
     # block; rows above k hold only their diagonal entry
     for k in range(min(m, n)):
         while True:
-            # the smallest nonzero entry becomes the pivot, the first in
-            # row-major order among equals; so no quotient below is zero.
-            # No entry is smaller than a unit, so the first unit ends the search
-            best = None
-            for i in range(k, m):
-                if d[i]:
-                    e, j = min((abs(e), j) for j, e in d[i].items())
-                    if best is None or e < best[0]:
-                        best = e, i, j
-                        if e == 1:
-                            break
-            if best is None:
+            found = _pivot(d, k)
+            if found is None:
                 break
-            _, bi, bj = best
-            d[k], d[bi], u[k], u[bi] = d[bi], d[k], u[bi], u[k]
+            bi, bj = found
+            if bi != k:
+                d[[k, bi]] = d[[bi, k]]
+                order[[k, bi]] = order[[bi, k]]
             if bj != k:
-                for row in itertools.chain(d[k:], v):
-                    if k in row or bj in row:
-                        row.update({c: row.pop(o) for c, o in ((bj, k), (k, bj)) if o in row})
-            pivot = d[k][k]
+                d[k:, [k, bj]] = d[k:, [bj, k]]
+                v[:, [k, bj]] = v[:, [bj, k]]
 
-            below = [i for i in range(k + 1, m) if k in d[i]]
-            for i in below:
-                add_row(i, k, -(d[i][k] // pivot))
-            if any(k in d[i] for i in below):
-                continue
-            # of d, only row k still holds column k
-            right = [j for j in sorted(d[k]) if j > k]
-            # a column-j operation leaves column k alone, so the rows holding
-            # column k are the same for every j
-            holding = [row for row in itertools.chain((d[k],), v) if k in row]
-            for j in right:
-                q = d[k][j] // pivot
-                for row in holding:
-                    _addmul(row, {j: row[k]}, -q)
-            if any(j in d[k] for j in right):
-                continue
-            # pivot must divide the whole remaining block for the chain property
+            below = k + 1 + np.flatnonzero(d[k + 1:, k])
+            if below.size:
+                # the clear changes only the columns where row k is nonzero
+                cols = np.flatnonzero(d[k])
+                block = np.ix_(below, cols)
+                old = d[block]
+                q = d[below, k] // d[k, k]
+                d, v = _widen(_absmax(old) + _absmax(q) * _absmax(d[k, cols]), d, v)
+                q = q.astype(d.dtype, copy=False)
+                d[block] = old - np.outer(q, d[k, cols])
+                steps.append((order[below], int(order[k]), -q))
+                if d[below, k].any():
+                    continue
+            # of d, only row k still holds column k, so a column operation
+            # changes d only in row k
+            pivot = d[k, k]
+            right = k + 1 + np.flatnonzero(d[k, k + 1:])
+            if right.size:
+                q = d[k, right] // pivot
+                d, v = _widen(_absmax(v[:, right]) + _absmax(q) * _absmax(v[:, k]), d, v)
+                pivot, q = d[k, k], q.astype(d.dtype, copy=False)
+                d[k, right] %= pivot
+                v[:, right] -= v[:, k:k + 1] * q
+                if d[k, right].any():
+                    continue
+            # pivot must divide the whole remaining block for the chain
+            # property; a unit divides everything
             if abs(pivot) == 1:
                 break
-            stray = next((i for i in range(k + 1, m)
-                          if any(e % pivot for e in d[i].values())), None)
-            if stray is None:
+            stray = np.flatnonzero((d[k + 1:] % pivot).any(axis=1))
+            if not stray.size:
                 break
-            add_row(k, stray, 1)
+            stray = k + 1 + int(stray[0])
+            d, v = _widen(_absmax(d[k]) + _absmax(d[stray]), d, v)
+            d[k] += d[stray]
+            steps.append((order[[k]], int(order[stray]), np.ones(1, dtype=d.dtype)))
 
-        if d[k].get(k, 0) < 0:
-            for t in (d, u):
-                t[k] = {j: -e for j, e in t[k].items()}
+        if d[k, k] < 0:
+            d[k] = -d[k]
+            flipped.add(k)
 
-    diagonal = [d[i].get(i, 0) for i in range(min(m, n))]
-    expected = [{i: e} if e else {} for i, e in enumerate(diagonal)]
-    if _product(_product(u, sparse), v) != expected + [{}] * (m - len(diagonal)):
-        raise AssertionError("smith normal form verification failed")
-    return SmithDecomposition(u, v, diagonal)
+    return SmithDecomposition(mat, v, [int(d[i, i]) for i in range(min(m, n))],
+                              (steps, order.tolist(), flipped))
 
 
 def _zero_rows_vanish(snf, L, x) -> bool:
@@ -246,7 +367,8 @@ def _zero_rows_vanish(snf, L, x) -> bool:
 
 def _rank_solution(snf, L, x):
     """(L', numerators of v*y mod L') where y solves the rank rows of
-    d*y = u*x/L; a solution of the system whenever one exists."""
+    d*y = u*x/L; a solution of the system whenever one exists, by the
+    facts that _verify_rank checks."""
     diag, rows = snf.diagonal, snf.rank_rows
     L2 = L * math.lcm(*(diag[i] for i in rows))
     # every y_i is below L2, so y is int64 when L2 is
@@ -265,7 +387,7 @@ def solve_exponents(snf, L, nums):
     is nonzero, and y is 0 elsewhere.  Returns (L', numerators of x = v*y
     mod L') with L' = L * lcm(nonzero d_i), or None when unsolvable.
     """
-    m = len(snf.u_rows)
+    m = len(snf._mat)
     if len(nums) != m:
         raise ValueError(f"expected {m} right-hand entries, got {len(nums)}")
     x = nums if isinstance(nums, np.ndarray) else np.array(nums, dtype=object)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import math
 import pickle
 import random
 from collections.abc import MutableMapping
@@ -555,6 +556,50 @@ def test_bar_coboundary_outcomes_match_full_solve(orders):
                 assert got is expected is None
 
 
+def _prime_power_parts(numbers):
+    parts = []
+    for x in numbers:
+        p = 2
+        while x > 1:
+            q = 1
+            while x % p == 0:
+                x, q = x // p, q * p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+@pytest.mark.parametrize("orders", EIGHT_GROUPS + [(4, 4), (2, 2, 2, 2)],
+                         ids=EIGHT_IDS + ["Z4^2", "Z2^4"])
+def test_bar_system_diagonal_is_the_schur_multiplier(orders):
+    # independent of the elimination: the system is the normalized bar
+    # coboundary C^2 -> C^3, so its rank is (N-1)(N-2) and its non-unit
+    # invariant factors are those of H_2(G, Z) = Lambda^2 G, the sum of
+    # Z_gcd(m_i, m_j) over i < j (notes/decisions.md)
+    N = math.prod(orders)
+    diagonal = cohomology._bar_system(orders).diagonal
+    assert sum(1 for d in diagonal if d) == (N - 1) * (N - 2)
+    assert _prime_power_parts(d for d in diagonal if d > 1) == _prime_power_parts(
+        math.gcd(a, b) for a, b in itertools.combinations(orders, 2))
+
+
+def test_bar_solve_reads_only_the_rank_rows():
+    # each outcome, a witness, None and the ValueError, is decided without
+    # replaying u beyond its rank rows
+    group = Group((5,))
+    rng = random.Random("rank rows only")
+    a, b = enumerate_params(group)[1:3]
+    coboundary = random_bar_coboundary(rng, group)
+    assert is_bar_coboundary(coboundary) is not None
+    assert is_bar_coboundary(build_table(a) / build_table(b)) is None
+    with pytest.raises(ValueError, match="^table is not a normalized cocycle$"):
+        is_bar_coboundary(_tamper_identity_cell(rng, coboundary))
+    snf = cohomology._bar_system(group.orders)
+    assert "_rank_u" in snf.__dict__
+    assert "u_rows" not in snf.__dict__ and "_zero_flat" not in snf.__dict__
+
+
 def test_bar_coboundary_values_must_be_roots():
     group = Group((2,))
     e, g = group.elements()
@@ -682,6 +727,17 @@ def test_tensor_coboundary_witness_pinned(orders, digest):
             w = is_tensor_coboundary(g)
             lines.append(None if w is None else [str(v) for v in w.pairs])
     assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
+
+
+def test_tensor_coboundary_reuses_pair_systems():
+    # one bounded cache entry per pair of orders, reused on every call
+    assert cohomology._pair_system.cache_info().maxsize is not None
+    group = Group((4, 3, 2))
+    f = tensor_coboundary(random_witness(random.Random("pair systems"), group))
+    is_tensor_coboundary(f)
+    hits = cohomology._pair_system.cache_info().hits
+    assert is_tensor_coboundary(f) is not None
+    assert cohomology._pair_system.cache_info().hits == hits + 3
 
 
 def test_cochains_compare_canonically():

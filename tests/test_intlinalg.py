@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_reference import left_kernel, matmul
+from dense_reference import dict_smith_normal_form, left_kernel, matmul
 
+from grcat import cohomology
 from grcat.intlinalg import (SmithDecomposition, smith_normal_form, solve_exponents,
                              solve_mod1)
 from grcat.roots import Root
@@ -254,3 +255,72 @@ def test_solve_exponents_matches_row_loop(L):
             assert solve_exponents(snf, L, np.array(nums)) == expected
             solved += expected is not None
     assert solved > 200
+
+
+def _assert_matches_dict_elimination(m):
+    snf = smith_normal_form(m)
+    u, v, diagonal = dict_smith_normal_form(map(enumerate, m), len(m[0]) if m else 0)
+    assert (snf.u_rows, snf.v_rows, snf.diagonal) == (u, v, diagonal)
+    assert snf._rank_u == [u[i] for i in snf.rank_rows]
+    return snf
+
+
+def _int64_crossing_matrices(scale):
+    # entries near +-scale mixed with small ones, so that multipliers near
+    # scale meet entries near scale within the first few steps
+    rng = random.Random(f"past int64 {scale}")
+    for _ in range(40):
+        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
+        yield [[rng.choice((-1, 1)) * (scale - rng.randrange(64)) if rng.random() < 0.4
+                else rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("scale", [2 ** 62, 2 ** 70])
+def test_elimination_exact_past_int64(scale):
+    # the array elimination against the dict one on Python ints: the same
+    # u, v and diagonal where the entries leave int64 partway through (near
+    # 2**62) and where they start outside it (2**70)
+    widened = 0
+    for m in _int64_crossing_matrices(scale):
+        snf = _assert_matches_dict_elimination(m)
+        widened += snf._v.dtype == object
+    assert widened > (20 if scale < 2 ** 63 else 39)
+
+
+def test_pair_systems_match_dict_elimination():
+    # the 2 x 1 columns that is_tensor_coboundary solves, small and huge orders
+    orders = list(range(1, 13)) + [2 ** 62 + 1, 3 * 2 ** 61, 2 ** 70 + 3]
+    for mi, mj in itertools.product(orders, repeat=2):
+        _assert_matches_dict_elimination([[mi], [-mj]])
+
+
+def _rebuilt(snf, v=None, log=None):
+    return SmithDecomposition(snf._mat, snf._v if v is None else v, snf.diagonal,
+                              snf._log if log is None else log)
+
+
+def test_eager_check_refuses_corrupted_decompositions():
+    snf = cohomology._bar_system((3, 3))
+    _rebuilt(snf)
+    rank, n = snf.rank_rows, len(snf._v)
+    nonunit = next(i for i in rank if snf.diagonal[i] != 1)
+    # a column of v off by one: a unit column, a non-unit one, one off the rank
+    for j in (0, nonunit, n - 1):
+        v = snf._v.copy()
+        v[0, j] += 1
+        with pytest.raises(AssertionError, match="smith normal form verification failed"):
+            _rebuilt(snf, v=v)
+    # the last multiplier that writes a rank row of u, its sign flipped
+    steps, order, flipped = snf._log
+    ids = {order[i] for i in rank}
+    t = max(t for t, (dsts, _, _) in enumerate(steps) if ids & set(dsts.tolist()))
+    dsts, src, mults = steps[t]
+    mults = mults.copy()
+    mults[[p for p, r in enumerate(dsts.tolist()) if r in ids][-1]] *= -1
+    with pytest.raises(AssertionError, match="smith normal form verification failed"):
+        _rebuilt(snf, log=(steps[:t] + [(dsts, src, mults)] + steps[t + 1:], order, flipped))
+    # a diagonal that stops one short: u_rank*m*v = d_rank still holds, but
+    # m*v keeps a nonzero column off the rank
+    with pytest.raises(AssertionError, match="smith normal form verification failed"):
+        SmithDecomposition([{0: 1}, {1: 1}], np.eye(2, dtype=np.int64), [1, 0],
+                           ([], [0, 1], set()))
